@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "core/simd.hpp"
 #include "core/thread_pool.hpp"
 #include "io/json_writer.hpp"
 #include "workload/taskset_gen.hpp"
@@ -66,18 +65,15 @@ int main() {
   }
   const double attempts_per_sec =
       secs > 0 ? static_cast<double>(attempts) / secs : 0;
-  const char* simd_path = core::simd::path_name(core::simd::active_path());
 
   std::printf("=== perf_gen: task-set generator throughput ===\n");
-  std::printf("serial  %.3fs  %llu attempts  %zu sets  %.0f attempts/sec  "
-              "(simd: %s)\n",
+  std::printf("serial  %.3fs  %llu attempts  %zu sets  %.0f attempts/sec\n",
               secs, static_cast<unsigned long long>(attempts), sets,
-              attempts_per_sec, simd_path);
+              attempts_per_sec);
   std::printf(
-      "stage seconds: draw %.4f, prefilter %.4f, finalize %.4f, "
-      "ladder %.4f, rta %.4f\n",
+      "stage seconds: draw %.4f, prefilter %.4f, finalize %.4f, admit %.4f\n",
       stage_secs.draw, stage_secs.prefilter, stage_secs.finalize,
-      stage_secs.ladder, stage_secs.rta);
+      stage_secs.admit);
   std::printf(
       "stages: draw-fail %llu, out-of-bin %llu, filter-reject %llu, "
       "rta-reject %llu, accepted %llu (quick %llu)\n",
@@ -138,8 +134,6 @@ int main() {
   w.key("quick_accepts");
   w.u64(totals.quick_accepts);
   w.end_object();
-  w.key("simd_path");
-  w.string(simd_path);
   w.key("stage_seconds");
   w.begin_object();
   w.key("draw");
@@ -148,10 +142,8 @@ int main() {
   w.fixed(stage_secs.prefilter, 4);
   w.key("finalize");
   w.fixed(stage_secs.finalize, 4);
-  w.key("ladder");
-  w.fixed(stage_secs.ladder, 4);
-  w.key("rta");
-  w.fixed(stage_secs.rta, 4);
+  w.key("admit");
+  w.fixed(stage_secs.admit, 4);
   w.end_object();
   w.key("bit_identical");
   w.boolean(identical);

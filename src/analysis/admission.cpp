@@ -1,10 +1,6 @@
 #include "analysis/admission.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <limits>
-
-#include "core/pattern.hpp"
 
 namespace mkss::analysis {
 
@@ -13,11 +9,6 @@ using core::TaskSet;
 using core::Ticks;
 
 namespace {
-
-/// Under kAllJobs every released job demands time: effm == effk == 1 and the
-/// (empty) tail contributes nothing. The arena mirror of this table is the
-/// reserved slot arena_[0] == 0.
-constexpr std::uint32_t kAllJobsPrefix[1] = {0};
 
 /// Hyperbolic-bound threshold with a floating-point safety margin. The
 /// product of n (1 + U_i) factors accumulates at most ~3n ulp of relative
@@ -30,225 +21,70 @@ constexpr double kHyperbolicMargin = 2.0 * (1.0 - 1e-12);
 
 constexpr Ticks kNoProbe = std::numeric_limits<Ticks>::max();
 
-/// Upper edge of the exact magic-division domain (values must be < 2^31).
-constexpr Ticks kFitLimit = Ticks{1} << 31;
+/// The task fields the ladder reads, copied out of whichever layout the
+/// caller holds.
+struct Fields {
+  Ticks period, deadline, wcet;
+  std::uint32_t m, k;
+};
+
+Fields fields_of(const Task& t) {
+  return {t.period, t.deadline, t.wcet, t.m, t.k};
+}
 
 }  // namespace
 
-const AdmissionContext::PrefixTable* AdmissionContext::prefix_for(
-    DemandModel model, std::uint32_t m, std::uint32_t k) {
-  const std::uint8_t kind = model == DemandModel::kRPatternMandatory ? 0 : 1;
-  if (k <= kFlatMaxK) {
-    if (prefix_flat_.empty()) {
-      prefix_flat_.assign(2 * (kFlatMaxK + 1) * (kFlatMaxK + 1), nullptr);
-    }
-    const std::size_t idx =
-        (static_cast<std::size_t>(kind) * (kFlatMaxK + 1) + k) * (kFlatMaxK + 1) +
-        m;
-    const PrefixTable*& slot = prefix_flat_[idx];
-    if (slot == nullptr) slot = build_prefix(kind, m, k);
-    return slot;
-  }
-  return build_prefix(kind, m, k);
-}
-
-const AdmissionContext::PrefixTable* AdmissionContext::build_prefix(
-    std::uint8_t kind, std::uint32_t m, std::uint32_t k) {
-  auto [it, inserted] = prefix_cache_.try_emplace(std::tuple{kind, m, k});
-  if (inserted) {
-    // prefix[r] = mandatory jobs among the first r jobs of an aligned
-    // k-group. Both patterns are periodic with period k and hold exactly m
-    // mandatory jobs per group (for the E-pattern because
-    // ceil((a+k)m/k) = ceil(am/k) + m exactly in integer arithmetic), so the
-    // tail-group count only depends on released % k.
-    std::vector<std::uint32_t>& prefix = it->second.counts;
-    prefix.resize(k);
-    if (kind == 0) {
-      // Deeply red: jobs 1..m of each group are mandatory.
-      for (std::uint32_t r = 0; r < k; ++r) prefix[r] = std::min(r, m);
-    } else {
-      std::uint32_t count = 0;
-      prefix[0] = 0;
-      for (std::uint32_t r = 1; r < k; ++r) {
-        count += core::e_pattern_mandatory(m, k, r) ? 1U : 0U;
-        prefix[r] = count;
-      }
-    }
-    // Append the same counts to the flat gather arena; offsets are stable
-    // because the arena only ever grows.
-    it->second.arena_off = static_cast<std::uint32_t>(arena_.size());
-    arena_.insert(arena_.end(), prefix.begin(), prefix.end());
-  }
-  return &it->second;
-}
-
-Ticks AdmissionContext::demand_at(const std::vector<Row>& rows,
-                                  const DemandArrays& soa, std::size_t i,
+Ticks AdmissionContext::demand_at(DemandModel model, std::size_t i,
                                   Ticks t) const {
   // Demand of task i (priority order) in a window [0, t), t >= 1: its own
-  // WCET plus every higher-priority task's mandatory releases. released =
-  // (t-1)/P + 1 equals the reference's ceil(t/P); the step table turns the
-  // pattern count into one divide and one prefix lookup, and on the 31-bit
-  // domain the runtime-dispatched simd kernel evaluates the rows in magic-
-  // division lanes -- exactly, so both forms agree bit for bit.
-  Ticks demand = rows[i].wcet;
-  if (soa.fits) {
-    const core::simd::DemandView v{soa.pmul.data(),  soa.pshift.data(),
-                                   soa.kmul.data(),  soa.kshift.data(),
-                                   soa.effm.data(),  soa.effk.data(),
-                                   soa.wcet.data(),  soa.poff.data(),
-                                   arena_.data()};
-    return demand + static_cast<Ticks>(core::simd::demand_hp_sum(
-                        v, i, static_cast<std::uint64_t>(t - 1)));
-  }
+  // WCET plus every higher-priority task's demanding releases. released =
+  // (t-1)/P + 1 equals the reference's ceil(t/P).
+  Ticks demand = rows_[i].wcet;
   for (std::size_t j = 0; j < i; ++j) {
-    const Row& hp = rows[j];
+    const Row& hp = rows_[j];
     const auto released = static_cast<std::uint64_t>((t - 1) / hp.period) + 1;
-    const std::uint64_t count =
-        (released / hp.effk) * hp.effm + hp.prefix[released % hp.effk];
-    demand += static_cast<Ticks>(count) * hp.wcet;
+    demand += static_cast<Ticks>(mandatory_jobs(model, hp.m, hp.k, released)) *
+              hp.wcet;
   }
   return demand;
 }
 
 template <class TaskAt>
-bool AdmissionContext::build_ladder(TaskAt&& at, std::size_t n,
-                                    std::vector<Row>& rows,
-                                    AdmissionVerdict& decided) {
-  rows.resize(n);
-  // One fused pass builds the rows and runs stages 1 and 2: most candidates
-  // decide here, before any interference step table is resolved. Stage 1 is
-  // exact: demand_i(t) >= S0_i for every t >= 1 (job 1 is mandatory under
-  // all patterns), so S0_i > D_i certifies unschedulability. Stage 2 is
-  // valid for implicit deadlines under rate-monotonic-consistent priorities;
-  // mandatory demand is dominated by full-jobs demand
-  // (count_pattern(released) <= released), so a full-jobs certificate covers
-  // every demand model.
+AdmissionVerdict AdmissionContext::admit_ordered(TaskAt&& at, std::size_t n,
+                                                 DemandModel model) {
+  if (n == 0) return {true, AdmissionStage::kProbeAccept};  // vacuously
+  rows_.resize(n);
+  // Stages 1 and 2, fused into the row-building pass: most candidates decide
+  // here. Stage 1 is exact: demand_i(t) >= S0_i for every t >= 1 (job 1 is
+  // mandatory under all patterns), so S0_i > D_i certifies
+  // unschedulability. Stage 2 is valid for implicit deadlines under
+  // rate-monotonic-consistent priorities; mandatory demand is dominated by
+  // full-jobs demand (mandatory_jobs(released) <= released), so a full-jobs
+  // certificate covers every demand model.
   Ticks hp_sum = 0;
   bool rm_implicit = true;
   double prod = 1.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const auto t = at(i);
-    Row& row = rows[i];
-    row.period = t.period;
-    row.deadline = t.deadline;
-    row.wcet = t.wcet;
-    row.s0 = hp_sum + t.wcet;
-    if (row.s0 > row.deadline) {
-      decided = {false, AdmissionStage::kLowerBoundReject};
-      return true;
-    }
-    row.effm = t.m;  // raw draw; resolve_prefixes() maps to effective values
-    row.effk = t.k;
+    const Fields t = at(i);
+    Row& row = rows_[i];
+    row = {t.period, t.deadline, t.wcet, hp_sum + t.wcet, t.m, t.k};
+    if (row.s0 > row.deadline) return {false, AdmissionStage::kLowerBoundReject};
     hp_sum += t.wcet;
     rm_implicit = rm_implicit && t.deadline == t.period &&
-                  (i == 0 || rows[i - 1].period <= t.period);
+                  (i == 0 || rows_[i - 1].period <= t.period);
     prod *= 1.0 + static_cast<double>(t.wcet) / static_cast<double>(t.period);
   }
   if (rm_implicit && prod <= kHyperbolicMargin) {
-    decided = {true, AdmissionStage::kHyperbolicAccept};
-    return true;
+    return {true, AdmissionStage::kHyperbolicAccept};
   }
-  return false;
-}
 
-AdmissionVerdict AdmissionContext::admit(const TaskSet& ts, DemandModel model) {
-  const std::size_t n = ts.size();
-  if (n == 0) return {true, AdmissionStage::kProbeAccept};  // vacuously
-  AdmissionVerdict decided;
-  if (build_ladder([&](std::size_t i) -> const Task& { return ts[i]; }, n,
-                   rows_, decided)) {
-    return decided;
-  }
-  resolve_prefixes(model, rows_, soa_);
-  return admit_rows(rows_, soa_);
-}
-
-AdmissionVerdict AdmissionContext::admit(const std::vector<Task>& tasks,
-                                         const std::vector<std::uint32_t>& order,
-                                         DemandModel model) {
-  const std::size_t n = order.size();
-  if (n == 0) return {true, AdmissionStage::kProbeAccept};  // vacuously
-  AdmissionVerdict decided;
-  if (build_ladder(
-          [&](std::size_t i) -> const Task& { return tasks[order[i]]; }, n,
-          rows_, decided)) {
-    return decided;
-  }
-  resolve_prefixes(model, rows_, soa_);
-  return admit_rows(rows_, soa_);
-}
-
-/// Maps each row's raw (m, k) draw to the effective step-table triple and
-/// mirrors the resolved rows into the SoA arrays the simd demand kernel
-/// consumes. Only candidates that survive stages 1 and 2 pay for this.
-void AdmissionContext::resolve_prefixes(DemandModel model,
-                                        std::vector<Row>& rows,
-                                        DemandArrays& soa) {
-  const std::size_t n = rows.size();
-  soa.pmul.resize(n);
-  soa.pshift.resize(n);
-  soa.kmul.resize(n);
-  soa.kshift.resize(n);
-  soa.effm.resize(n);
-  soa.effk.resize(n);
-  soa.wcet.resize(n);
-  soa.poff.resize(n);
-  // The vector lanes are exact only on the 31-bit domain; the wcet-sum bound
-  // additionally guarantees the u64 demand accumulation cannot wrap
-  // (count_j <= released_j < 2^31 and sum C_j < 2^31 give a < 2^62 total).
-  bool fits = true;
-  std::uint64_t wcet_sum = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    Row& row = rows[j];
-    if (model == DemandModel::kAllJobs) {
-      row.effm = 1;
-      row.effk = 1;
-      row.prefix = kAllJobsPrefix;
-      row.poff = 0;  // arena_[0] is the reserved all-jobs slot
-    } else {
-      const PrefixTable* table =
-          prefix_for(model, static_cast<std::uint32_t>(row.effm),
-                     static_cast<std::uint32_t>(row.effk));
-      row.prefix = table->counts.data();
-      row.poff = table->arena_off;
-    }
-    fits = fits && row.period < kFitLimit && row.deadline < kFitLimit &&
-           row.wcet < kFitLimit &&
-           row.effm < static_cast<std::uint64_t>(kFitLimit) &&
-           row.effk < static_cast<std::uint64_t>(kFitLimit);
-    if (fits) {
-      wcet_sum += static_cast<std::uint64_t>(row.wcet);
-      const auto pm =
-          core::simd::div_magic_u31(static_cast<std::uint32_t>(row.period));
-      const auto km =
-          core::simd::div_magic_u31(static_cast<std::uint32_t>(row.effk));
-      soa.pmul[j] = pm.mul;
-      soa.pshift[j] = pm.shift;
-      soa.kmul[j] = km.mul;
-      soa.kshift[j] = km.shift;
-      soa.effm[j] = row.effm;
-      soa.effk[j] = row.effk;
-      soa.wcet[j] = static_cast<std::uint64_t>(row.wcet);
-      soa.poff[j] = row.poff;
-    }
-  }
-  soa.fits = fits && wcet_sum < static_cast<std::uint64_t>(kFitLimit);
-}
-
-AdmissionVerdict AdmissionContext::admit_rows(std::vector<Row>& rows,
-                                              const DemandArrays& soa) {
-  const std::size_t n = rows.size();
-
-  // Stages 3+4 -- probe, then exact (stages 1 and 2 ran fused into the
-  // row-building pass in build_ladder). Lowest priority first: the verdict
-  // is a conjunction (order-independent), and random candidates
-  // overwhelmingly fail at the lowest-priority task, so rejects exit after
-  // one task.
+  // Stages 3+4 -- probe, then exact. Lowest priority first: the verdict is a
+  // conjunction (order-independent), and random candidates overwhelmingly
+  // fail at the lowest-priority task, so rejects exit after one task.
   if (probe_.size() < n) probe_.resize(n, kNoProbe);
   bool exact_used = false;
   for (std::size_t i = n; i-- > 0;) {
-    const Row& row = rows[i];
+    const Row& row = rows_[i];
     if (probe_[i] != kNoProbe) {
       // Any q with demand(q) <= q is a post-fixed point of the monotone
       // demand function, so the least fixed point is <= q <= D_i: accepted.
@@ -256,7 +92,7 @@ AdmissionVerdict AdmissionContext::admit_rows(std::vector<Row>& rows,
       // q < S0_i cannot certify (demand >= S0_i everywhere) -- skip the eval.
       const Ticks q = std::min(probe_[i], row.deadline);
       if (q >= row.s0) {
-        const Ticks d = demand_at(rows, soa, i, q);
+        const Ticks d = demand_at(model, i, q);
         if (d <= q) {
           probe_[i] = d;
           continue;
@@ -269,7 +105,7 @@ AdmissionVerdict AdmissionContext::admit_rows(std::vector<Row>& rows,
     exact_used = true;
     Ticks r = row.s0;
     while (true) {
-      const Ticks d = demand_at(rows, soa, i, r);
+      const Ticks d = demand_at(model, i, r);
       if (d == r) break;
       if (d > row.deadline) return {false, AdmissionStage::kExactReject};
       r = d;
@@ -280,111 +116,28 @@ AdmissionVerdict AdmissionContext::admit_rows(std::vector<Row>& rows,
           exact_used ? AdmissionStage::kExactAccept : AdmissionStage::kProbeAccept};
 }
 
-bool AdmissionContext::lockstep_step(CandState& c, AdmissionVerdict* out) {
-  const auto advance = [&]() -> bool {
-    if (c.level == 0) {
-      out[c.out_index] = {true, c.exact_used ? AdmissionStage::kExactAccept
-                                             : AdmissionStage::kProbeAccept};
-      return true;
-    }
-    --c.level;
-    c.in_probe = true;
-    return false;
-  };
-  const Row& row = c.rows[c.level];
-  if (c.in_probe) {
-    c.in_probe = false;
-    if (probe_[c.level] != kNoProbe) {
-      const Ticks q = std::min(probe_[c.level], row.deadline);
-      if (q >= row.s0) {
-        const Ticks d = demand_at(c.rows, c.soa, c.level, q);
-        if (d <= q) {
-          probe_[c.level] = d;
-          return advance();
-        }
-        // The probe evaluation failed: this round's demand evaluation is
-        // spent, the exact ascent starts on the next lockstep round.
-        c.t = row.s0;
-        c.exact_used = true;
-        return false;
-      }
-    }
-    // No usable probe hint: seed the exact ascent and evaluate this round.
-    c.t = row.s0;
-    c.exact_used = true;
-  }
-  const Ticks d = demand_at(c.rows, c.soa, c.level, c.t);
-  if (d == c.t) {
-    probe_[c.level] = c.t;
-    return advance();
-  }
-  if (d > row.deadline) {
-    out[c.out_index] = {false, AdmissionStage::kExactReject};
-    return true;
-  }
-  c.t = d;
-  return false;
+AdmissionVerdict AdmissionContext::admit(const TaskSet& ts, DemandModel model) {
+  return admit_ordered([&](std::size_t i) { return fields_of(ts[i]); },
+                       ts.size(), model);
 }
 
-void AdmissionContext::admit_batch(const SoACandidate* cands, std::size_t count,
-                                   DemandModel model, AdmissionVerdict* out,
-                                   double* ladder_seconds,
-                                   double* exact_seconds) {
-  using clock = std::chrono::steady_clock;
-  const auto t0 = clock::now();
-  if (batch_.size() < count) batch_.resize(count);
-  std::vector<std::uint32_t> active;
-  active.reserve(count);
-  std::size_t max_n = 0;
-  for (std::size_t c = 0; c < count; ++c) {
-    const SoACandidate& cd = cands[c];
-    if (cd.n == 0) {
-      out[c] = {true, AdmissionStage::kProbeAccept};  // vacuously
-      continue;
-    }
-    CandState& st = batch_[c];
-    AdmissionVerdict decided;
-    const auto at = [&cd](std::size_t i) {
-      struct Fields {
-        Ticks period, deadline, wcet;
-        std::uint32_t m, k;
-      };
-      const std::uint32_t raw = cd.order[i];
-      return Fields{cd.period[raw], cd.deadline[raw], cd.wcet[raw], cd.m[raw],
-                    cd.k[raw]};
-    };
-    if (build_ladder(at, cd.n, st.rows, decided)) {
-      out[c] = decided;
-      continue;
-    }
-    resolve_prefixes(model, st.rows, st.soa);
-    st.out_index = c;
-    st.level = cd.n - 1;
-    st.t = 0;
-    st.in_probe = true;
-    st.exact_used = false;
-    max_n = std::max(max_n, cd.n);
-    active.push_back(static_cast<std::uint32_t>(c));
-  }
-  if (probe_.size() < max_n) probe_.resize(max_n, kNoProbe);
-  const auto t1 = clock::now();
-  // Lockstep rounds: every unresolved candidate advances by exactly one
-  // demand evaluation per round; resolved candidates retire from the active
-  // list in place, the rest keep iterating.
-  while (!active.empty()) {
-    std::size_t keep = 0;
-    for (const std::uint32_t idx : active) {
-      if (!lockstep_step(batch_[idx], out)) active[keep++] = idx;
-    }
-    active.resize(keep);
-  }
-  const auto t2 = clock::now();
-  if (ladder_seconds != nullptr) {
-    *ladder_seconds += std::chrono::duration<double>(t1 - t0).count();
-  }
-  if (exact_seconds != nullptr) {
-    *exact_seconds += std::chrono::duration<double>(t2 - t1).count();
-  }
+AdmissionVerdict AdmissionContext::admit(const std::vector<Task>& tasks,
+                                         const std::vector<std::uint32_t>& order,
+                                         DemandModel model) {
+  return admit_ordered(
+      [&](std::size_t i) { return fields_of(tasks[order[i]]); }, order.size(),
+      model);
+}
+
+AdmissionVerdict AdmissionContext::admit(const SoACandidate& cand,
+                                         DemandModel model) {
+  return admit_ordered(
+      [&](std::size_t i) {
+        const std::uint32_t raw = cand.order[i];
+        return Fields{cand.period[raw], cand.deadline[raw], cand.wcet[raw],
+                      cand.m[raw], cand.k[raw]};
+      },
+      cand.n, model);
 }
 
 }  // namespace mkss::analysis

@@ -30,30 +30,20 @@
 //
 // Candidates surviving all three run the exact iteration, seeded at S0_i
 // (a lower bound on the least fixed point, so the ascent converges to the
-// same value as the classic C_i start), over interference step tables that
-// reduce every pattern count to one divide + one table lookup. When all
-// candidate quantities fit the 31-bit integer domain, the per-level demand
-// sum runs through the runtime-dispatched core::simd kernel (magic-number
-// division instead of hardware divides, AVX2 lanes where available) -- the
-// kernel is exact on that domain, so the fixed points, and therefore the
-// verdicts, are bit-identical on every dispatch path. Tasks are tested
+// same value as the classic C_i start). Each demand evaluation is one plain
+// 64-bit loop over the higher-priority tasks with the pattern counts in
+// closed form (mandatory_jobs below): both patterns are periodic with period
+// k and hold exactly m mandatory jobs per aligned k-group, so no per-(m,k)
+// table is ever built and memory does not grow with k. Tasks are tested
 // lowest priority first: the verdict is a conjunction, and the
 // lowest-priority task is where random candidates fail first.
-//
-// The generator's structure-of-arrays batch pipeline enters through
-// admit_batch(), which runs the cheap ladder per candidate and then iterates
-// every candidate that still needs its exact fixed point in lockstep: one
-// demand evaluation per unresolved candidate per round, retiring
-// converged/rejected candidates while the rest continue.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
-#include <tuple>
 #include <vector>
 
 #include "analysis/rta.hpp"
-#include "core/simd.hpp"
 #include "core/task.hpp"
 
 namespace mkss::analysis {
@@ -71,6 +61,31 @@ struct AdmissionVerdict {
   bool schedulable{false};
   AdmissionStage stage{AdmissionStage::kExactReject};
 };
+
+/// Jobs among the first `released` releases of an (m, k) task that demand
+/// time under `model`, in closed form:
+///   all jobs  released;
+///   R-pattern (released / k) m + min(released % k, m)   -- jobs 1..m of
+///             every aligned k-group;
+///   E-pattern (released / k) m + ceil((released % k) m / k) -- the
+///             mandatory jobs of a group sit at offsets floor(i k / m),
+///             i = 0..m-1, and exactly ceil(r m / k) of them lie below r.
+/// No intermediate overflows 64 bits: (released % k) * m < k * m < 2^64.
+/// Pinned against core::r_pattern_mandatory / e_pattern_mandatory by an
+/// exhaustive test.
+inline std::uint64_t mandatory_jobs(DemandModel model, std::uint64_t m,
+                                    std::uint64_t k,
+                                    std::uint64_t released) noexcept {
+  switch (model) {
+    case DemandModel::kAllJobs:
+      return released;
+    case DemandModel::kRPatternMandatory:
+      return (released / k) * m + std::min(released % k, m);
+    case DemandModel::kEPatternMandatory:
+      return (released / k) * m + ((released % k) * m + k - 1) / k;
+  }
+  return released;
+}
 
 /// One candidate of a structure-of-arrays generation batch, viewed through
 /// its priority permutation: task field arrays indexed by raw draw position,
@@ -100,108 +115,36 @@ class AdmissionContext {
 
   /// Same, over a raw task vector viewed through a priority permutation:
   /// `tasks[order[0]]` is the highest-priority task. Tasks must satisfy
-  /// Task::valid(); this is the generator's no-materialization entry point.
+  /// Task::valid(); this is the eager generator's entry point.
   AdmissionVerdict admit(const std::vector<core::Task>& tasks,
                          const std::vector<std::uint32_t>& order,
                          DemandModel model);
 
-  /// Batched verdicts for `count` SoA candidates: out[c] is bit-identical to
-  /// admit(candidate c) called on its own (probe hints are speed-only, see
-  /// class comment). Candidates whose ladder stages do not decide iterate
-  /// their exact fixed points in lockstep with early lane retirement. When
-  /// non-null, ladder_seconds/exact_seconds accumulate the wall-clock spent
-  /// in the cheap ladder vs the lockstep fixed points (bench telemetry).
-  void admit_batch(const SoACandidate* cands, std::size_t count,
-                   DemandModel model, AdmissionVerdict* out,
-                   double* ladder_seconds = nullptr,
-                   double* exact_seconds = nullptr);
+  /// Same, over one candidate of the generator's SoA batch pipeline.
+  AdmissionVerdict admit(const SoACandidate& cand, DemandModel model);
 
  private:
-  /// Per-task interference step table: mandatory-jobs-released-before counts
-  /// collapse to (released / effk) * effm + prefix[released % effk]. Until
-  /// resolve_prefixes() runs, effm/effk hold the raw (m, k) draw and prefix is
-  /// unset -- candidates rejected or accepted by stages 1/2 never build
-  /// tables.
+  /// One task in priority order, with its demand lower bound.
   struct Row {
     core::Ticks period{0};
     core::Ticks deadline{0};
     core::Ticks wcet{0};
     core::Ticks s0{0};  ///< C_i + sum of higher-priority WCETs
-    std::uint64_t effm{0};
-    std::uint64_t effk{0};
-    const std::uint32_t* prefix{nullptr};  ///< cumulative mandatory counts
-    std::uint32_t poff{0};  ///< prefix offset inside the shared arena
-  };
-
-  /// SoA mirrors of the resolved rows feeding core::simd::demand_hp_sum,
-  /// plus the 31-bit-domain flag. When a candidate does not fit (huge
-  /// periods/deadlines or a WCET sum at risk of overflowing the exact u64
-  /// accumulation bound), demand falls back to the legacy 64-bit loop --
-  /// same values, just without the vector lanes.
-  struct DemandArrays {
-    std::vector<std::uint64_t> pmul, pshift, kmul, kshift;
-    std::vector<std::uint64_t> effm, effk, wcet, poff;
-    bool fits{false};
-  };
-
-  /// Pooled per-candidate state of one admit_batch lockstep lane.
-  struct CandState {
-    std::vector<Row> rows;
-    DemandArrays soa;
-    std::size_t out_index{0};
-    std::size_t level{0};    ///< priority level under test (counts down)
-    core::Ticks t{0};        ///< current fixed-point iterate
-    bool in_probe{false};    ///< next evaluation is the probe check
-    bool exact_used{false};
-  };
-
-  /// Shared prefix-table storage: the map nodes own the cumulative counts
-  /// (stable addresses for Row::prefix) and remember where the same counts
-  /// sit inside arena_, the flat copy the gather lanes index.
-  struct PrefixTable {
-    std::vector<std::uint32_t> counts;
-    std::uint32_t arena_off{0};
+    std::uint32_t m{0};
+    std::uint32_t k{0};
   };
 
   /// Fused row building + ladder stages 1 and 2 over tasks delivered by
-  /// `at(i)` in priority order. Returns true when a ladder stage decided the
-  /// verdict (written to `decided`); false when stages 3/4 must run.
+  /// `at(i)` in priority order, then stages 3 and 4 on the rows.
   template <class TaskAt>
-  bool build_ladder(TaskAt&& at, std::size_t n, std::vector<Row>& rows,
-                    AdmissionVerdict& decided);
+  AdmissionVerdict admit_ordered(TaskAt&& at, std::size_t n, DemandModel model);
 
-  AdmissionVerdict admit_rows(std::vector<Row>& rows, const DemandArrays& soa);
-  void resolve_prefixes(DemandModel model, std::vector<Row>& rows,
-                        DemandArrays& soa);
-  const PrefixTable* prefix_for(DemandModel model, std::uint32_t m,
-                                std::uint32_t k);
-  const PrefixTable* build_prefix(std::uint8_t kind, std::uint32_t m,
-                                  std::uint32_t k);
-  core::Ticks demand_at(const std::vector<Row>& rows, const DemandArrays& soa,
-                        std::size_t i, core::Ticks t) const;
-  /// One lockstep round of candidate `c` (at most one demand evaluation).
-  /// Returns true when the candidate resolved and wrote its verdict.
-  bool lockstep_step(CandState& c, AdmissionVerdict* out);
+  core::Ticks demand_at(DemandModel model, std::size_t i, core::Ticks t) const;
 
   std::vector<Row> rows_;
-  DemandArrays soa_;
-  std::vector<CandState> batch_;
   /// Last certified post-fixed-point value per priority level (speed hint
   /// only -- see class comment). Ticks::max marks "no hint yet".
   std::vector<core::Ticks> probe_;
-  /// O(1) prefix-table lookup for the common small windows, direct-indexed
-  /// by (pattern-kind, k, m). Entries point into prefix_cache_ nodes;
-  /// k > kFlatMaxK falls back to the map itself.
-  static constexpr std::uint32_t kFlatMaxK = 64;
-  std::vector<const PrefixTable*> prefix_flat_;
-  /// Cumulative mandatory-job prefix tables keyed (pattern-kind, m, k);
-  /// std::map nodes give the stable addresses Row::prefix points into.
-  std::map<std::tuple<std::uint8_t, std::uint32_t, std::uint32_t>, PrefixTable>
-      prefix_cache_;
-  /// Flat concatenation of every prefix table, indexed by Row::poff + rem:
-  /// the contiguous u32 arena the AVX2 gather reads. arena_[0] == 0 is the
-  /// reserved kAllJobs table (effk == 1, rem always 0).
-  std::vector<std::uint32_t> arena_{0};
 };
 
 }  // namespace mkss::analysis

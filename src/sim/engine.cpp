@@ -125,7 +125,7 @@ void heap_pop(std::vector<T>& heap) {
   heap.pop_back();
 }
 
-/// MKSS_TIMELINE resolution, parsed once per process (mirrors MKSS_SIMD):
+/// MKSS_TIMELINE resolution, parsed once per process:
 /// -1 = unset, otherwise a TimelineMode value that overrides every run.
 int env_timeline_mode() noexcept {
   static const int resolved = [] {

@@ -51,7 +51,7 @@ namespace mkss::sim {
 /// (release, task), the calendar heap's strict-total pop order. Under
 /// SimConfig::cross_check the heap runs in lock-step as an oracle and every
 /// cursor step is checked against it. Env MKSS_TIMELINE={auto,cached,heap}
-/// (or `off` == heap) overrides the per-run setting, mirroring MKSS_SIMD.
+/// (or `off` == heap) overrides the per-run setting.
 enum class TimelineMode : std::uint8_t { kAuto = 0, kCached = 1, kHeap = 2 };
 
 struct SimConfig {
@@ -108,8 +108,8 @@ struct SimConfig {
 /// Returns kAuto only when neither the env nor the config forces a mode.
 TimelineMode resolved_timeline_mode(const SimConfig& config) noexcept;
 
-/// Test hook mirroring core::simd::set_forced_path: overrides the resolved
-/// mode until clear_forced_timeline_mode().
+/// Test hook: overrides the resolved mode until
+/// clear_forced_timeline_mode().
 void set_forced_timeline_mode(TimelineMode mode) noexcept;
 void clear_forced_timeline_mode() noexcept;
 

@@ -3,15 +3,16 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "analysis/admission.hpp"
-#include "core/simd.hpp"
 
 namespace mkss::workload {
+
+std::int64_t llround_nonneg(double x) noexcept {
+  const auto r = static_cast<std::int64_t>(x);
+  return r + (x - static_cast<double>(r) >= 0.5 ? 1 : 0);
+}
 
 using core::Task;
 using core::TaskSet;
@@ -331,68 +332,48 @@ void tally(GenCounters& c, const AttemptResult& r) {
 //
 // run_batch processes a chunk of consecutive attempts through phase-major
 // stages instead of attempt-major ones: draw every candidate's RNG stream
-// into flat stride-16 arrays, screen the whole chunk with one vectorized
-// sigma-C/max-D kernel pass, finish only the survivors (UUniFast pow chain,
-// m derivation, repair, priority sort -- all deferred), and resolve the
-// remaining candidates through one lockstep admission batch.
+// into flat stride-kRowStride arrays, screen the whole chunk with the
+// sigma-C/max-D prefilter, finish only the survivors (UUniFast pow chain,
+// m derivation, repair, priority sort -- all deferred), and admit the
+// remaining candidates one by one.
 //
 // Two properties make the result bit-identical to run_attempt:
 //   * the RNG draw sequence per attempt is unchanged -- the deferred work
 //     (inv_int_root, m rounding, repair, sort) consumes no RNG, and v2
-//     per-attempt substreams mean drawing *more* values than the scalar
-//     path's early-outs (a draw-fail candidate still draws its remaining
-//     tasks here) is unobservable: nothing else ever reads that stream;
+//     per-attempt substreams mean drawing *more* values than run_attempt's
+//     early-outs (a draw-fail candidate still draws its remaining tasks
+//     here) is unobservable: nothing else ever reads that stream;
 //   * every deferred computation evaluates the same IEEE expressions in the
-//     same order as the scalar path, and the batch kernels are exact integer
-//     re-bracketings (see core/simd.hpp).
-// MKSS_GEN_CROSSCHECK=1 re-runs the scalar path per attempt and aborts on
-// any divergence.
+//     same order as run_attempt, llround_nonneg is std::llround on its
+//     domain, and the prefilter and admission are exact integer code.
+// tests/test_workload.cpp pins the equivalence attempt by attempt against a
+// reference built from the public API alone.
 // ---------------------------------------------------------------------------
+
+/// Lanes per candidate in the batch arrays: candidate c owns lanes
+/// [c*kRowStride, c*kRowStride + n_tasks[c]) of every per-task array.
+constexpr std::size_t kRowStride = 16;
 
 /// Where the generation pipeline's batch eligibility ends: candidate counts
 /// above this stay exact in the deferred llround_nonneg domain (v * P and
 /// k * share / v both < 2^52 needs P < ~4.5e12 ticks; one decade of margin).
 constexpr std::int64_t kMaxBatchPeriodMs = 1'000'000'000;
 
-enum class GenMode : std::uint8_t { kAuto, kScalar, kBatch };
-
-GenMode gen_mode_from_env() {
-  const char* env = std::getenv("MKSS_GEN_MODE");
-  if (env == nullptr || std::strcmp(env, "auto") == 0) return GenMode::kAuto;
-  if (std::strcmp(env, "scalar") == 0) return GenMode::kScalar;
-  if (std::strcmp(env, "batch") == 0) return GenMode::kBatch;
-  std::fprintf(stderr,
-               "mkss: unknown MKSS_GEN_MODE value '%s' "
-               "(expected scalar|batch|auto); auto-selecting\n",
-               env);
-  return GenMode::kAuto;
-}
-
-bool crosscheck_from_env() {
-  const char* env = std::getenv("MKSS_GEN_CROSSCHECK");
-  return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
-}
-
 /// True when `params` fit the batch pipeline's envelope: the uniform WCET
 /// model (the shaped model draws m *before* its WCET, so nothing can be
-/// deferred), k >= 2 (the scalar path's m clamp needs it too), task counts
+/// deferred), k >= 2 (run_attempt's m clamp needs it too), task counts
 /// within the fixed lane stride, and periods inside the exact-rounding
 /// domain of the deferred llround.
 bool batch_eligible(const GenParams& p, double bin_lo) {
   return p.wcet_model == WcetModel::kUniformWcet && p.min_k >= 2 &&
-         p.min_tasks >= 1 && p.max_tasks <= core::simd::kRowStride &&
+         p.min_tasks >= 1 && p.max_tasks <= kRowStride &&
          p.min_period_ms >= 1 && p.max_period_ms <= kMaxBatchPeriodMs &&
          bin_lo >= 0;
 }
 
 /// SoA buffers of one batch chunk, reused across chunks per worker thread.
-/// Candidate c owns lanes [c*kRowStride, c*kRowStride + n_tasks[c]) of every
-/// per-task array; wcet/deadline lanes past the task count are zeroed (the
-/// sum/max identity) so the prefilter kernel can run stride-blind.
 struct BatchScratch {
-  static constexpr std::size_t kStride = core::simd::kRowStride;
-
-  // Per-task arrays, stride kStride per candidate.
+  // Per-task arrays, stride kRowStride per candidate.
   std::vector<Ticks> period, deadline, wcet;
   std::vector<std::uint32_t> k, m, order;
   std::vector<double> u01;  ///< raw UUniFast uniforms; pow chain deferred
@@ -402,19 +383,17 @@ struct BatchScratch {
   std::vector<double> target;
   std::vector<std::uint32_t> n_tasks;
   std::vector<std::uint8_t> alive;
-  std::vector<std::int64_t> sums, maxs;
 
   // Finalize scratch (one survivor at a time).
   std::vector<double> shares, step;
 
-  // Admission batch views into the arrays above.
+  // Admission views into the arrays above, one per surviving candidate.
   std::vector<analysis::SoACandidate> cands;
   std::vector<std::uint32_t> cand_slot;
-  std::vector<analysis::AdmissionVerdict> verdicts;
   analysis::AdmissionContext admission;
 
   void prepare(std::size_t count) {
-    const std::size_t lanes = count * kStride;
+    const std::size_t lanes = count * kRowStride;
     if (period.size() < lanes) {
       period.resize(lanes);
       deadline.resize(lanes);
@@ -429,11 +408,9 @@ struct BatchScratch {
       target.resize(count);
       n_tasks.resize(count);
       alive.resize(count);
-      sums.resize(count);
-      maxs.resize(count);
     }
-    shares.resize(kStride);
-    step.resize(kStride);
+    shares.resize(kRowStride);
+    step.resize(kRowStride);
   }
 };
 
@@ -444,9 +421,8 @@ void run_batch(const GenParams& params, double bin_lo, double bin_hi,
                std::uint64_t seed, std::uint64_t bin_index,
                std::uint64_t first_attempt, std::size_t count, BatchScratch& b,
                Slot* slots, GenStageSeconds& times) {
-  namespace simd = core::simd;
   using clock = std::chrono::steady_clock;
-  constexpr std::size_t stride = BatchScratch::kStride;
+  constexpr std::size_t stride = kRowStride;
   b.prepare(count);
 
   // ---- draw: per-attempt substreams into the SoA arrays ----
@@ -484,7 +460,7 @@ void run_batch(const GenParams& params, double bin_lo, double bin_hi,
       const double vv = rng.uniform(0.05, 1.0);  // C_i / P_i
       const Ticks w = std::max<Ticks>(
           1, static_cast<Ticks>(
-                 simd::llround_nonneg(vv * static_cast<double>(p))));
+                 llround_nonneg(vv * static_cast<double>(p))));
       b.period[base + i] = p;
       b.deadline[base + i] = d;
       b.v[base + i] = vv;
@@ -493,23 +469,25 @@ void run_batch(const GenParams& params, double bin_lo, double bin_hi,
       // (k >= 2 and the m clamp make the (m,k) leg vacuous).
       ok = ok && d <= p && w <= d;
     }
-    for (std::size_t i = n; i < stride; ++i) {
-      b.wcet[base + i] = 0;      // sum identity
-      b.deadline[base + i] = 0;  // max identity (live deadlines are >= 1)
-    }
     b.alive[c] = ok ? 1 : 0;
     if (!ok) slots[c].result = {AttemptKind::kDrawFail, false};
   }
 
-  // ---- prefilter: one fused sigma-C / max-D kernel pass over the chunk ----
+  // ---- prefilter: sigma-C against max-D per live candidate ----
   // The deadline of a longest-period task equals the max deadline (the
-  // deadline is a weakly increasing pure function of the period), so the
-  // scalar path's wcet_sum > lp_deadline is exactly sums[c] > maxs[c].
+  // deadline is a weakly increasing pure function of the period), so
+  // run_attempt's wcet_sum > lp_deadline is exactly sum_c > max_d.
   const auto t1 = clock::now();
-  simd::row_sum_max_i64(b.wcet.data(), b.deadline.data(), count, b.sums.data(),
-                        b.maxs.data());
   for (std::size_t c = 0; c < count; ++c) {
-    if (b.alive[c] != 0 && b.sums[c] > b.maxs[c]) {
+    if (b.alive[c] == 0) continue;
+    const std::size_t base = c * stride;
+    Ticks sum_c = 0;
+    Ticks max_d = 0;
+    for (std::size_t i = 0; i < b.n_tasks[c]; ++i) {
+      sum_c += b.wcet[base + i];
+      max_d = std::max(max_d, b.deadline[base + i]);
+    }
+    if (sum_c > max_d) {
       b.alive[c] = 0;
       slots[c].result = {AttemptKind::kFilterReject, false};
     }
@@ -537,7 +515,7 @@ void run_batch(const GenParams& params, double bin_lo, double bin_hi,
     for (std::size_t i = 0; i < n; ++i) {
       const double m_real =
           static_cast<double>(b.k[base + i]) * b.shares[i] / b.v[base + i];
-      const auto mm = simd::llround_nonneg(m_real);
+      const auto mm = llround_nonneg(m_real);
       b.m[base + i] = static_cast<std::uint32_t>(std::clamp<std::int64_t>(
           mm, 1, static_cast<std::int64_t>(b.k[base + i]) - 1));
     }
@@ -586,13 +564,10 @@ void run_batch(const GenParams& params, double bin_lo, double bin_hi,
   }
   const auto t3 = clock::now();
 
-  // ---- lockstep admission over everything still undecided ----
-  b.verdicts.resize(b.cands.size());
-  b.admission.admit_batch(b.cands.data(), b.cands.size(), params.accept_model,
-                          b.verdicts.data(), &times.ladder, &times.rta);
+  // ---- staged admission of everything still undecided ----
   for (std::size_t e = 0; e < b.cands.size(); ++e) {
     const std::size_t c = b.cand_slot[e];
-    const auto verdict = b.verdicts[e];
+    const auto verdict = b.admission.admit(b.cands[e], params.accept_model);
     if (!verdict.schedulable) {
       slots[c].result = {
           verdict.stage == analysis::AdmissionStage::kLowerBoundReject
@@ -621,43 +596,15 @@ void run_batch(const GenParams& params, double bin_lo, double bin_hi,
                            analysis::AdmissionStage::kHyperbolicAccept};
   }
 
+  const auto t4 = clock::now();
+
   const auto secs = [](clock::time_point a, clock::time_point e) {
     return std::chrono::duration<double>(e - a).count();
   };
   times.draw += secs(t0, t1);
   times.prefilter += secs(t1, t2);
   times.finalize += secs(t2, t3);
-}
-
-/// MKSS_GEN_CROSSCHECK harness: replays every attempt of a freshly filled
-/// chunk through the scalar run_attempt and aborts on any divergence in
-/// verdict kind, quick flag, or accepted tasks.
-void crosscheck_batch(const GenParams& params, double bin_lo, double bin_hi,
-                      std::uint64_t seed, std::uint64_t bin_index,
-                      std::uint64_t first_attempt, std::size_t count,
-                      const Slot* slots) {
-  static thread_local AttemptWorker worker;
-  static thread_local std::vector<Task> accepted;
-  for (std::size_t c = 0; c < count; ++c) {
-    const AttemptResult ref = run_attempt(params, bin_lo, bin_hi, seed,
-                                          bin_index, first_attempt + c, worker,
-                                          accepted);
-    const AttemptResult got = slots[c].result;
-    const bool tasks_match =
-        ref.kind != AttemptKind::kAccepted || accepted == slots[c].tasks;
-    if (ref.kind != got.kind || ref.quick != got.quick || !tasks_match) {
-      std::fprintf(
-          stderr,
-          "mkss: MKSS_GEN_CROSSCHECK divergence at bin %llu attempt %llu: "
-          "scalar kind=%u quick=%d vs batch kind=%u quick=%d, tasks %s\n",
-          static_cast<unsigned long long>(bin_index),
-          static_cast<unsigned long long>(first_attempt + c),
-          static_cast<unsigned>(ref.kind), ref.quick ? 1 : 0,
-          static_cast<unsigned>(got.kind), got.quick ? 1 : 0,
-          tasks_match ? "match" : "DIFFER");
-      std::abort();
-    }
-  }
+  times.admit += secs(t3, t4);
 }
 
 }  // namespace
@@ -676,14 +623,13 @@ GenStageSeconds& GenStageSeconds::operator+=(const GenStageSeconds& o) noexcept 
   draw += o.draw;
   prefilter += o.prefilter;
   finalize += o.finalize;
-  ladder += o.ladder;
-  rta += o.rta;
+  admit += o.admit;
   return *this;
 }
 
 std::optional<TaskSet> generate_taskset(const GenParams& params,
                                         double target_mk_util, core::Rng& rng) {
-  // Always the eager scalar path: the caller's Rng is a *shared* sequential
+  // Always the eager path: the caller's Rng is a *shared* sequential
   // stream, so the batch pipeline's over-drawing on invalid tasks (harmless
   // under per-attempt substreams) would shift every later draw here.
   GenScratch s;
@@ -712,80 +658,22 @@ BinnedBatch generate_bin(const GenParams& params, double bin_lo, double bin_hi,
   batch.bin_lo = bin_lo;
   batch.bin_hi = bin_hi;
 
-  const GenMode mode = gen_mode_from_env();
-  const bool eligible = batch_eligible(params, bin_lo);
-  const bool use_batch = eligible && mode != GenMode::kScalar;
-  if (mode == GenMode::kBatch && !eligible) {
-    std::fprintf(stderr,
-                 "mkss: MKSS_GEN_MODE=batch requested but the parameters fall "
-                 "outside the batch pipeline envelope; using the scalar "
-                 "path\n");
-  }
-  const bool crosscheck = use_batch && crosscheck_from_env();
-
+  // Parameters outside the batch envelope (the shaped WCET model above all)
+  // run the eager one-attempt-at-a-time pipeline; both fill the same slots.
+  const bool use_batch = batch_eligible(params, bin_lo);
   const std::size_t workers = pool != nullptr ? pool->size() : 1;
-  if (workers <= 1) {
-    if (!use_batch) {
-      static thread_local AttemptWorker worker;
-      std::vector<Task> accepted;
-      while (batch.sets.size() < want_schedulable &&
-             batch.attempts < max_attempts) {
-        const std::uint64_t attempt = batch.attempts++;
-        const AttemptResult r = run_attempt(params, bin_lo, bin_hi, seed,
-                                            bin_index, attempt, worker,
-                                            accepted);
-        tally(batch.counters, r);
-        if (r.kind == AttemptKind::kAccepted) {
-          batch.sets.emplace_back(std::move(accepted));
-        }
-      }
-      return batch;
-    }
-    // Serial batch pipeline: speculative chunks committed in ascending
-    // attempt order (exactly the parallel path's semantics with one
-    // worker), so the result is bit-identical to the per-attempt loop
-    // above. Chunks grow geometrically: bins that fill from a handful of
-    // attempts waste little speculative draw work, reject-heavy bins get
-    // full-width kernel passes.
-    static thread_local BatchScratch scratch;
-    std::vector<Slot> slots;
-    std::uint64_t next = 0;
-    std::size_t chunk_cap = 32;
-    while (batch.sets.size() < want_schedulable && next < max_attempts) {
-      const auto chunk = std::min<std::uint64_t>(max_attempts - next, chunk_cap);
-      if (slots.size() < chunk) slots.resize(chunk);
-      run_batch(params, bin_lo, bin_hi, seed, bin_index, next,
-                static_cast<std::size_t>(chunk), scratch, slots.data(),
-                batch.stage_seconds);
-      if (crosscheck) {
-        crosscheck_batch(params, bin_lo, bin_hi, seed, bin_index, next,
-                         static_cast<std::size_t>(chunk), slots.data());
-      }
-      for (std::uint64_t i = 0;
-           i < chunk && batch.sets.size() < want_schedulable; ++i) {
-        ++batch.attempts;
-        tally(batch.counters, slots[i].result);
-        if (slots[i].result.kind == AttemptKind::kAccepted) {
-          batch.sets.emplace_back(std::move(slots[i].tasks));
-        }
-      }
-      next += chunk;
-      chunk_cap = std::min<std::size_t>(chunk_cap * 2, 2048);
-    }
-    return batch;
-  }
 
-  // Speculative parallel attempts: fill a chunk of per-attempt result slots
-  // across the pool (attempts are independent under the v2 substreams), then
-  // commit them in ascending attempt order until `want_schedulable` is
-  // reached -- attempts past the deciding one are discarded unexamined, so
-  // the batch (sets, attempt count, counters) is bit-identical to the serial
-  // path no matter how many workers raced ahead. Chunks grow geometrically:
-  // reject-heavy bins amortize dispatch overhead, while bins that fill from
-  // a handful of attempts waste little speculative work.
+  // Speculative attempts: fill a chunk of per-attempt result slots (across
+  // the pool when there is one -- attempts are independent under the v2
+  // substreams -- inline in attempt order otherwise), then commit them in
+  // ascending attempt order until `want_schedulable` is reached. Attempts
+  // past the deciding one are discarded unexamined, so the batch (sets,
+  // attempt count, counters) is the same for every thread count. Chunks grow
+  // geometrically: bins that fill from a handful of attempts waste little
+  // speculative work, reject-heavy bins amortize dispatch overhead.
   std::vector<Slot> slots;
   std::uint64_t next = 0;  // first attempt index not yet examined
-  std::size_t per_job = 64;
+  std::size_t per_job = 32;
   while (batch.sets.size() < want_schedulable && next < max_attempts) {
     const auto chunk = std::min<std::uint64_t>(max_attempts - next,
                                                workers * per_job);
@@ -800,11 +688,6 @@ BinnedBatch generate_bin(const GenParams& params, double bin_lo, double bin_hi,
         run_batch(params, bin_lo, bin_hi, seed, bin_index, next + begin,
                   static_cast<std::size_t>(end - begin), scratch,
                   slots.data() + begin, job_times[job]);
-        if (crosscheck) {
-          crosscheck_batch(params, bin_lo, bin_hi, seed, bin_index,
-                           next + begin, static_cast<std::size_t>(end - begin),
-                           slots.data() + begin);
-        }
       } else {
         static thread_local AttemptWorker worker;
         for (std::uint64_t i = begin; i < end; ++i) {

@@ -93,14 +93,13 @@ struct GenCounters {
 /// seconds. Telemetry only -- never part of the bit-identity contract. With
 /// a thread pool the per-worker times are summed, so the fields read as CPU
 /// seconds per stage, which is the right unit for "where do the cycles go".
-/// The scalar fallback path (MKSS_GEN_MODE=scalar, or parameters outside the
-/// batch pipeline's envelope) leaves all fields zero.
+/// The eager path (parameters outside the batch pipeline's envelope) leaves
+/// all fields zero.
 struct GenStageSeconds {
   double draw{0};       ///< RNG draws + SoA fill
-  double prefilter{0};  ///< vectorized sigma-C > D_lp screen
+  double prefilter{0};  ///< sigma-C > D_lp screen
   double finalize{0};   ///< deferred shares/m, repair, sort, bin check
-  double ladder{0};     ///< admission stages 1-2 (S0 demand screen, hyperbolic)
-  double rta{0};        ///< lockstep exact fixed points (stages 3-4)
+  double admit{0};      ///< staged admission of the bin-checked survivors
 
   GenStageSeconds& operator+=(const GenStageSeconds& o) noexcept;
 };
@@ -128,17 +127,28 @@ struct BinnedBatch {
 /// stream tag) so attempt streams cannot collide with other named streams.
 ///
 /// Attempts are processed through a structure-of-arrays batch pipeline
-/// (deferred UUniFast shares, vectorized prefilter, lockstep batched RTA --
-/// see docs/architecture.md) whenever the parameters fit its envelope
-/// (kUniformWcet, min_k >= 2, max_tasks <= 16); the result is bit-identical
-/// to the one-attempt-at-a-time scalar path by construction. Env overrides:
-/// MKSS_GEN_MODE=scalar forces the scalar path, =batch insists on the batch
-/// path (warning when ineligible), unset/auto picks automatically; setting
-/// MKSS_GEN_CROSSCHECK=1 runs *both* paths per attempt and aborts on any
-/// divergence in verdict kind or accepted tasks (debug/CI harness).
+/// (deferred UUniFast shares, sigma-C prefilter, staged admission -- see
+/// docs/architecture.md) whenever the parameters fit its envelope
+/// (kUniformWcet, min_k >= 2, max_tasks <= 16), and one at a time through
+/// the eager draw otherwise; both give the same result attempt by attempt.
 BinnedBatch generate_bin(const GenParams& params, double bin_lo, double bin_hi,
                          std::size_t want_schedulable, std::size_t max_attempts,
                          std::uint64_t seed, std::uint64_t bin_index,
                          core::ThreadPool* pool = nullptr);
+
+/// llround for non-negative doubles below 2^52, bit-identical to
+/// std::llround but inlineable (glibc's llround is an out-of-line call that
+/// the batch draw loop pays millions of times per sweep).
+///
+/// For x >= 0, llround rounds half away from zero: r + [frac >= 0.5] where
+/// r = floor(x) (the truncating cast) and frac = x - r. The subtraction is
+/// EXACT: for floor(x) >= 1, floor(x) <= x < 2 * floor(x) so Sterbenz's
+/// lemma applies; for floor(x) == 0 it subtracts zero. So the >= 0.5
+/// comparison sees the true fraction and no rounded intermediate can flip a
+/// verdict -- unlike the tempting (int64)(x + 0.5) form, where x + 0.5 can
+/// round UP across an integer in a round-to-even tie (x = 0.5 - 2^-54) and
+/// no floating-point correction test can detect it exactly. Pinned against
+/// std::llround by a fuzz + boundary test.
+std::int64_t llround_nonneg(double x) noexcept;
 
 }  // namespace mkss::workload

@@ -14,6 +14,7 @@
 
 #include "analysis/admission.hpp"
 #include "analysis/rta.hpp"
+#include "core/pattern.hpp"
 #include "core/rng.hpp"
 #include "core/task.hpp"
 #include "core/time.hpp"
@@ -175,6 +176,138 @@ TEST(Admission, EmptySetIsVacuouslySchedulable) {
   AdmissionContext ctx;
   for (const auto model : kAllModels) {
     EXPECT_TRUE(ctx.admit(TaskSet(), model).schedulable);
+  }
+}
+
+TEST(Admission, ClosedFormCountsMatchPatternDefinitionsExhaustively) {
+  // mandatory_jobs() replaces every per-(m,k) count table: pin it against a
+  // job-by-job count of the pattern predicates, and against the reference
+  // analysis's own counting (a period-1 task releases exactly t jobs in
+  // [0, t)), over every small (m, k) and three full groups plus a tail.
+  for (std::uint32_t k = 1; k <= 64; ++k) {
+    for (std::uint32_t m = 1; m <= k; ++m) {
+      Task unit;
+      unit.period = 1;
+      unit.deadline = 1;
+      unit.wcet = 1;
+      unit.m = m;
+      unit.k = k;
+      std::uint64_t r_count = 0;
+      std::uint64_t e_count = 0;
+      for (std::uint64_t released = 0; released <= 3ULL * k; ++released) {
+        if (released > 0) {
+          r_count += core::r_pattern_mandatory(m, k, released) ? 1U : 0U;
+          e_count += core::e_pattern_mandatory(m, k, released) ? 1U : 0U;
+        }
+        const auto t = static_cast<Ticks>(released);
+        // Eq. 1 is stated for 0 < m < k; an (k, k) task is hard, every job
+        // is mandatory, and that is what the reference analysis counts.
+        const std::uint64_t r_want = m < k ? r_count : released;
+        ASSERT_EQ(analysis::mandatory_jobs(DemandModel::kRPatternMandatory, m,
+                                           k, released),
+                  r_want)
+            << "R m=" << m << " k=" << k << " released=" << released;
+        ASSERT_EQ(r_want, core::r_pattern_mandatory_released_before(unit, t));
+        ASSERT_EQ(analysis::mandatory_jobs(DemandModel::kEPatternMandatory, m,
+                                           k, released),
+                  e_count)
+            << "E m=" << m << " k=" << k << " released=" << released;
+        ASSERT_EQ(e_count,
+                  core::pattern_mandatory_released_before(
+                      core::PatternKind::kEvenlyDistributed, unit, t));
+        ASSERT_EQ(analysis::mandatory_jobs(DemandModel::kAllJobs, m, k,
+                                           released),
+                  released);
+      }
+    }
+  }
+}
+
+TEST(Admission, LargeKNeedsNoPerKStorage) {
+  // k near the top of the u32 range on every task, including the
+  // lowest-priority one, whose constrained deadline keeps stages 1 and 2
+  // from deciding: the exact stage must run, and its counts must stay in
+  // closed form (a per-k table would need gigabytes here).
+  const TaskSet ts({make_task(10, 10, 3, 1, 3'999'999'999U),
+                    make_task(15, 12, 4, 3'000'000'000U, 4'000'000'000U),
+                    make_task(100, 60, 28, 2'000'000'000U, 4'000'000'000U)});
+  AdmissionContext ctx;
+  std::array<bool, 3> verdicts{};
+  for (std::size_t i = 0; i < kAllModels.size(); ++i) {
+    const auto v = ctx.admit(ts, kAllModels[i]);
+    EXPECT_EQ(v.schedulable, analysis::schedulable(ts, kAllModels[i]))
+        << "model " << i;
+    EXPECT_NE(v.stage, AdmissionStage::kLowerBoundReject);
+    EXPECT_NE(v.stage, AdmissionStage::kHyperbolicAccept);
+    verdicts[i] = v.schedulable;
+  }
+  // All jobs overrun the lowest deadline; the mandatory jobs alone do not.
+  EXPECT_FALSE(verdicts[0]);
+  EXPECT_TRUE(verdicts[1]);
+  EXPECT_TRUE(verdicts[2]);
+}
+
+/// One candidate's SoA storage: the tasks scattered into a random draw order
+/// with the priority permutation pointing back at them, as generate_bin's
+/// batch pipeline lays candidates out.
+struct SoAStorage {
+  std::vector<Ticks> period, deadline, wcet;
+  std::vector<std::uint32_t> m, k, order;
+
+  analysis::SoACandidate view() const {
+    return analysis::SoACandidate{period.data(), deadline.data(), wcet.data(),
+                                  m.data(),      k.data(),       order.data(),
+                                  order.size()};
+  }
+};
+
+SoAStorage scatter(const TaskSet& ts, core::Rng& rng) {
+  SoAStorage s;
+  const std::size_t n = ts.size();
+  s.period.resize(n);
+  s.deadline.resize(n);
+  s.wcet.resize(n);
+  s.m.resize(n);
+  s.k.resize(n);
+  s.order.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) s.order[i] = i;
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(s.order[i - 1], s.order[static_cast<std::size_t>(rng.below(i))]);
+  }
+  for (std::size_t pri = 0; pri < n; ++pri) {
+    const std::uint32_t slot = s.order[pri];
+    s.period[slot] = ts[pri].period;
+    s.deadline[slot] = ts[pri].deadline;
+    s.wcet[slot] = ts[pri].wcet;
+    s.m[slot] = ts[pri].m;
+    s.k[slot] = ts[pri].k;
+  }
+  return s;
+}
+
+TEST(Admission, SoAFuzzMatchesReferenceColdAndWarm) {
+  core::Rng rng(0xBA7C4);
+  for (int round = 0; round < 60; ++round) {
+    constexpr std::size_t kBatch = 24;
+    std::vector<TaskSet> sets;
+    std::vector<SoAStorage> storage;
+    for (std::size_t c = 0; c < kBatch; ++c) {
+      sets.push_back(random_taskset(rng));
+      storage.push_back(scatter(sets.back(), rng));
+    }
+    for (const auto model : kAllModels) {
+      AdmissionContext ctx;  // cold: no probe history
+      for (int pass = 0; pass < 2; ++pass) {
+        // The second pass runs on the probe hints the first one left: hints
+        // are speed-only.
+        for (std::size_t c = 0; c < kBatch; ++c) {
+          ASSERT_EQ(ctx.admit(storage[c].view(), model).schedulable,
+                    analysis::schedulable(sets[c], model))
+              << (pass == 0 ? "cold" : "warm") << " candidate "
+              << sets[c].describe();
+        }
+      }
+    }
   }
 }
 

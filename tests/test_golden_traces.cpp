@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -53,6 +54,14 @@ struct GoldenCase {
   std::string flags;     ///< simulate flags after the scheme
   std::string expected;  ///< committed trace JSON under tests/golden/
 };
+
+/// Without this, gtest prints the param as a raw byte dump that holds the
+/// strings' heap pointers, so the listed test names (and the ctest names
+/// gtest_discover_tests derives from them) changed with every run under ASLR.
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  *os << "simulate " << c.taskset << " --scheme " << c.scheme << " "
+      << c.flags;
+}
 
 class GoldenTrace : public ::testing::TestWithParam<GoldenCase> {};
 

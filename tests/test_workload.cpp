@@ -1,8 +1,11 @@
 // Unit tests: synthetic task-set generation (Section V parameters).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
+#include "analysis/admission.hpp"
 #include "analysis/rta.hpp"
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
@@ -186,6 +189,148 @@ TEST(GenerateBin, RejectsUnknownStreamVersion) {
   params.stream_version = 1;
   EXPECT_THROW(generate_bin(params, 0.3, 0.4, 1, 10, 1, 0),
                std::invalid_argument);
+}
+
+/// What generate_bin must return, rebuilt attempt by attempt from the
+/// public API alone: the attempt's own stream, the target draw,
+/// generate_taskset, the S0 prefilter (sum of all WCETs against the
+/// longest period's deadline), the bin check and the exact
+/// analysis::schedulable verdict. A fresh AdmissionContext only sorts the
+/// outcome into the counter the pipeline charges it to; its verdict must
+/// agree with the exact one. `prefilter_ties` counts attempts whose WCET
+/// sum equals that deadline, the prefilter's boundary.
+struct Reference {
+  BinnedBatch batch;
+  std::uint64_t prefilter_ties{0};
+};
+
+Reference reference_bin(const GenParams& params, double lo, double hi,
+                        std::size_t want, std::size_t max_attempts,
+                        std::uint64_t seed, std::uint64_t bin) {
+  Reference out;
+  BinnedBatch& ref = out.batch;
+  ref.bin_lo = lo;
+  ref.bin_hi = hi;
+  GenCounters& c = ref.counters;
+  while (ref.sets.size() < want && ref.attempts < max_attempts) {
+    core::Rng rng(core::stream_seed(seed, bin, ref.attempts++));
+    const double target = rng.uniform(lo, hi);
+    auto ts = generate_taskset(params, target, rng);
+    if (!ts) {
+      ++c.draw_failures;
+      continue;
+    }
+    core::Ticks wcet_sum = 0;
+    for (const auto& t : *ts) wcet_sum += t.wcet;
+    const core::Ticks lp_deadline = ts->tasks().back().deadline;
+    if (wcet_sum == lp_deadline) ++out.prefilter_ties;
+    if (wcet_sum > lp_deadline) {
+      ++c.filter_rejects;
+      continue;
+    }
+    const double u = ts->total_mk_utilization();
+    if (u < lo || u >= hi) {
+      ++c.out_of_bin;
+      continue;
+    }
+    const bool ok = analysis::schedulable(*ts, params.accept_model);
+    const auto staged =
+        analysis::AdmissionContext().admit(*ts, params.accept_model);
+    EXPECT_EQ(staged.schedulable, ok) << ts->describe();
+    if (!ok) {
+      ++(staged.stage == analysis::AdmissionStage::kLowerBoundReject
+             ? c.filter_rejects
+             : c.rta_rejects);
+      continue;
+    }
+    ++c.accepted;
+    if (staged.stage == analysis::AdmissionStage::kHyperbolicAccept) {
+      ++c.quick_accepts;
+    }
+    ref.sets.push_back(std::move(*ts));
+  }
+  return out;
+}
+
+TEST(GenerateBin, MatchesPublicApiReferenceForEveryThreadCount) {
+  struct Case {
+    const char* label;
+    GenParams params;
+    double lo;
+    double hi;
+    std::size_t want;
+    std::size_t max_attempts;
+    bool hits_prefilter_boundary;
+  };
+  GenParams constrained;
+  constrained.deadline_factor = 0.8;
+  GenParams e_pattern;
+  e_pattern.accept_model = analysis::DemandModel::kEPatternMandatory;
+  GenParams shaped;  // outside the batch envelope: the eager path
+  shaped.wcet_model = WcetModel::kShapedWcet;
+  // Two 1 ms tasks: WCET sums land on the 1000-tick deadline often enough
+  // to pin the prefilter's strict comparison.
+  GenParams tight;
+  tight.min_tasks = 2;
+  tight.max_tasks = 2;
+  tight.min_period_ms = 1;
+  tight.max_period_ms = 1;
+  const Case cases[] = {{"paper", GenParams{}, 0.4, 0.5, 8, 4000, false},
+                        {"low-bin", GenParams{}, 0.1, 0.2, 12, 4000, false},
+                        {"constrained", constrained, 0.3, 0.4, 6, 4000, false},
+                        {"e-pattern", e_pattern, 0.5, 0.6, 6, 4000, false},
+                        {"shaped", shaped, 0.3, 0.4, 8, 4000, false},
+                        {"tight", tight, 0.0, 1.0, 100000, 20000, true}};
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(tc.label);
+    const auto reference = reference_bin(tc.params, tc.lo, tc.hi, tc.want,
+                                         tc.max_attempts, 777, 2);
+    const BinnedBatch& ref = reference.batch;
+    ASSERT_FALSE(ref.sets.empty());
+    if (tc.hits_prefilter_boundary) {
+      EXPECT_GT(reference.prefilter_ties, 0u);
+    }
+    for (const std::size_t n_threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << n_threads);
+      core::ThreadPool pool(n_threads);
+      const auto got =
+          generate_bin(tc.params, tc.lo, tc.hi, tc.want, tc.max_attempts, 777,
+                       2, n_threads == 1 ? nullptr : &pool);
+      EXPECT_EQ(got.attempts, ref.attempts);
+      EXPECT_EQ(got.counters, ref.counters);
+      ASSERT_EQ(got.sets.size(), ref.sets.size());
+      for (std::size_t i = 0; i < ref.sets.size(); ++i) {
+        EXPECT_EQ(got.sets[i].describe(), ref.sets[i].describe()) << "set " << i;
+      }
+    }
+  }
+}
+
+TEST(LlroundNonneg, MatchesStdLlroundOnBoundariesAndFuzz) {
+  const double half_cases[] = {0.0, 0.5, 1.0, 1.5, 2.5, 3.49999999999999,
+                               3.5, 3.50000000000001, 1e15 + 0.5};
+  for (const double x : half_cases) {
+    EXPECT_EQ(llround_nonneg(x), std::llround(x)) << "x=" << x;
+    const double up = std::nextafter(x, std::numeric_limits<double>::infinity());
+    const double down = std::nextafter(x, 0.0);
+    EXPECT_EQ(llround_nonneg(up), std::llround(up));
+    if (down >= 0) {
+      EXPECT_EQ(llround_nonneg(down), std::llround(down));
+    }
+  }
+  // Top of the contract domain: integers up there are exact doubles.
+  const double top = 4503599627370495.0;  // 2^52 - 1
+  EXPECT_EQ(llround_nonneg(top), std::llround(top));
+
+  core::Rng rng(0x11A07D);
+  for (int i = 0; i < 200000; ++i) {
+    // Log-uniform magnitude so small values (the generator's actual domain:
+    // WCET = v * period ~ 1e0..1e13) and huge ones both get coverage.
+    const double mag = rng.uniform(0.0, 52.0);
+    const double x = rng.uniform01() * std::exp2(mag);
+    ASSERT_EQ(llround_nonneg(x), std::llround(x)) << "x=" << x;
+  }
 }
 
 }  // namespace
