@@ -338,45 +338,18 @@ ReproVerdict replay_bundle(const io::ReproBundle& bundle,
     throw std::invalid_argument("repro bundle: unknown scenario '" +
                                 bundle.scenario + "'");
   }
-  const sched::SchemeInfo& info =
-      sched::Registry::instance().resolve(bundle.scheme);
-  if (!info.supports(platform.num_procs())) {
-    throw std::invalid_argument(
-        "repro bundle: scheme '" + bundle.scheme +
-        "' does not support a " + std::to_string(platform.num_procs()) +
-        "-processor platform");
-  }
   // Re-derive the plan exactly like the sweep harness drew it: a fresh Rng
   // from the recorded fault seed feeding make_scenario_plan.
   core::Rng rng(bundle.fault_seed);
   const std::unique_ptr<sim::FaultPlan> plan = make_scenario_plan(
       *scenario, bundle.ts, bundle.horizon, bundle.lambda_per_ms, rng);
-  ReproVerdict v;
-  try {
-    const auto scheme = info.make();
-    harness::BatchRunner runner(bundle.ts);
-    runner.bind(*scheme);
-    sim::SimConfig cfg;
-    cfg.horizon = bundle.horizon;
-    cfg.platform = platform;
-    cfg.wall_clock_budget_ms = run_budget_ms;
-    const sim::SimulationTrace& trace = runner.run_full(*scheme, *plan, cfg);
-    audit::AuditOptions options;
-    options.check_mk = *scenario != Scenario::kPermanentAndTransient;
-    const audit::AuditReport report =
-        audit::TraceAuditor(options).audit(trace, bundle.ts);
-    if (!report.ok()) {
-      v.violated = true;
-      v.kind = "audit-violation";
-      v.invariant = report.violations.front().invariant;
-      v.detail = report.to_string();
-    }
-  } catch (const sim::RunTimeoutError& e) {
-    v = {true, "timeout", "", e.what()};
-  } catch (const std::exception& e) {
-    v = {true, "exception", "", e.what()};
-  }
-  return v;
+  sim::SimConfig cfg;
+  cfg.horizon = bundle.horizon;
+  cfg.platform = platform;
+  cfg.wall_clock_budget_ms = run_budget_ms;
+  audit::AuditOptions options;
+  options.check_mk = *scenario != Scenario::kPermanentAndTransient;
+  return audited_verdict(bundle.ts, bundle.scheme, cfg, *plan, options);
 }
 
 std::string FuzzResult::summary() const {

@@ -23,37 +23,25 @@ bool within_tolerance(const ExplicitFaultPlan& plan) {
   return true;
 }
 
-ReproVerdict check_repro(const ReproCase& c, harness::RunContext* ctx) {
-  const sched::SchemeInfo& info = sched::Registry::instance().resolve(c.scheme);
-  if (!info.supports(c.platform.num_procs())) {
+ReproVerdict audited_verdict(const core::TaskSet& ts, const std::string& scheme,
+                             const sim::SimConfig& cfg,
+                             const sim::FaultPlan& plan,
+                             const audit::AuditOptions& options,
+                             harness::RunContext* ctx) {
+  const sched::SchemeInfo& info = sched::Registry::instance().resolve(scheme);
+  if (!info.supports(cfg.platform.num_procs())) {
     throw std::invalid_argument(
-        "repro case: scheme '" + c.scheme + "' does not support a " +
-        std::to_string(c.platform.num_procs()) + "-processor platform");
+        "repro case: scheme '" + scheme + "' does not support a " +
+        std::to_string(cfg.platform.num_procs()) + "-processor platform");
   }
   ReproVerdict v;
   try {
-    const auto scheme = info.make();
-    harness::BatchRunner runner(c.ts, ctx);
-    runner.bind(*scheme);
-    sim::SimConfig cfg;
-    cfg.horizon = c.horizon;
-    cfg.platform = c.platform;
-    cfg.wall_clock_budget_ms = c.run_budget_ms;
-    const sim::SimulationTrace& trace = runner.run_full(*scheme, c.plan, cfg);
-    audit::AuditOptions options;
-    // Beyond the tolerance hypothesis, Theorem 1's guarantees are off: an
-    // (m,k) window may legitimately break, and a mandatory job can miss with
-    // fewer than two direct fault events (e.g. a permanent fault degrades
-    // the platform, then transients on *other* jobs promote extra jobs to
-    // mandatory via the dynamic pattern, and the added interference pushes
-    // an innocent job past its deadline). Structural invariants -- copy
-    // lifecycles, band order, outcome counts, energy reconciliation -- stay
-    // audited under arbitrarily hostile plans.
-    const bool tolerable = within_tolerance(c.plan);
-    options.check_mk = tolerable;
-    options.check_mandatory = tolerable;
+    const auto instance = info.make();
+    harness::BatchRunner runner(ts, ctx);
+    runner.bind(*instance);
+    const sim::SimulationTrace& trace = runner.run_full(*instance, plan, cfg);
     const audit::AuditReport report =
-        audit::TraceAuditor(options).audit(trace, c.ts);
+        audit::TraceAuditor(options).audit(trace, ts);
     if (!report.ok()) {
       v.violated = true;
       v.kind = "audit-violation";
@@ -66,6 +54,26 @@ ReproVerdict check_repro(const ReproCase& c, harness::RunContext* ctx) {
     v = {true, "exception", "", e.what()};
   }
   return v;
+}
+
+ReproVerdict check_repro(const ReproCase& c, harness::RunContext* ctx) {
+  sim::SimConfig cfg;
+  cfg.horizon = c.horizon;
+  cfg.platform = c.platform;
+  cfg.wall_clock_budget_ms = c.run_budget_ms;
+  audit::AuditOptions options;
+  // Beyond the tolerance hypothesis, Theorem 1's guarantees are off: an
+  // (m,k) window may legitimately break, and a mandatory job can miss with
+  // fewer than two direct fault events (e.g. a permanent fault degrades
+  // the platform, then transients on *other* jobs promote extra jobs to
+  // mandatory via the dynamic pattern, and the added interference pushes
+  // an innocent job past its deadline). Structural invariants -- copy
+  // lifecycles, band order, outcome counts, energy reconciliation -- stay
+  // audited under arbitrarily hostile plans.
+  const bool tolerable = within_tolerance(c.plan);
+  options.check_mk = tolerable;
+  options.check_mandatory = tolerable;
+  return audited_verdict(c.ts, c.scheme, cfg, c.plan, options, ctx);
 }
 
 namespace {

@@ -19,10 +19,13 @@
 #include <cstdint>
 #include <string>
 
+#include "audit/trace_auditor.hpp"
 #include "core/task.hpp"
 #include "core/time.hpp"
 #include "fault/campaign.hpp"
 #include "harness/batch_runner.hpp"
+#include "sim/engine.hpp"
+#include "sim/fault_plan.hpp"
 #include "sim/types.hpp"
 
 namespace mkss::fault {
@@ -57,6 +60,19 @@ struct ReproVerdict {
 /// may legitimately fail (fault cascades re-promote jobs via the dynamic
 /// pattern), so check_repro audits only the structural invariants there.
 bool within_tolerance(const ExplicitFaultPlan& plan);
+
+/// Runs `scheme` (registry name) on `ts` under `plan` and `cfg` with the
+/// trace auditor attached under `options`, and reports the first violation
+/// (or a clean verdict): an audit failure, a watchdog timeout, or any other
+/// thrown error. The one audited-verdict path behind check_repro and
+/// replay_bundle's scenario dialect. Throws sched::UnknownSchemeError when
+/// the scheme is not registered and std::invalid_argument when it does not
+/// support cfg.platform. `ctx` as for check_repro.
+ReproVerdict audited_verdict(const core::TaskSet& ts, const std::string& scheme,
+                             const sim::SimConfig& cfg,
+                             const sim::FaultPlan& plan,
+                             const audit::AuditOptions& options,
+                             harness::RunContext* ctx = nullptr);
 
 /// Re-runs the case with the auditor attached and reports the first
 /// violation (or a clean verdict). Throws sched::UnknownSchemeError when the

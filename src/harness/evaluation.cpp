@@ -1,7 +1,6 @@
 #include "harness/evaluation.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -306,11 +305,6 @@ void save_corpus(const SweepConfig& config,
 
 SweepResult run_variant_sweep(const SweepConfig& config,
                               const std::vector<SchemeVariant>& variants) {
-  using Clock = std::chrono::steady_clock;
-  const auto seconds_since = [](Clock::time_point start) {
-    return std::chrono::duration<double>(Clock::now() - start).count();
-  };
-
   SweepResult result;
   for (const SchemeVariant& v : variants) {
     result.scheme_names.push_back(v.name);
@@ -327,7 +321,6 @@ SweepResult run_variant_sweep(const SweepConfig& config,
   // independent). This balances far better than one job per bin: high-
   // utilization bins need orders of magnitude more attempts than low ones,
   // and per-bin jobs left every worker but one idle on the last stragglers.
-  const auto generate_start = Clock::now();
   std::vector<workload::BinnedBatch> batches(config.bin_starts.size());
   const bool corpus_loaded =
       !config.corpus_dir.empty() && load_corpus(config, batches);
@@ -342,7 +335,6 @@ SweepResult run_variant_sweep(const SweepConfig& config,
     }
     if (!config.corpus_dir.empty()) save_corpus(config, batches);
   }
-  result.timings.generate_seconds = seconds_since(generate_start);
 
   for (std::size_t b = 0; b < batches.size(); ++b) {
     if (batches[b].sets.size() < config.sets_per_bin) {
@@ -361,7 +353,6 @@ SweepResult run_variant_sweep(const SweepConfig& config,
   // schemes differ in scheduling, not in luck. Grouping the variants in one
   // job lets them share a BatchRunner (one analysis cache per set) and a
   // per-worker-thread RunContext (pooled engine arenas + sinks).
-  const auto simulate_start = Clock::now();
   std::vector<std::vector<SetRuns>> runs(batches.size());
   struct SetRef {
     std::size_t bin, set;
@@ -388,9 +379,6 @@ SweepResult run_variant_sweep(const SweepConfig& config,
   // which legitimately breaks an (m,k) window; qos_failures counts those.
   audit_options.check_mk =
       config.scenario != fault::Scenario::kPermanentAndTransient;
-  // Audits need materialized traces; otherwise honor the configured sink.
-  const bool use_full =
-      config.audit || config.sink != SweepConfig::Sink::kStats;
   core::parallel_for(pool.get(), jobs.size(), [&](std::size_t i) {
     // One pooled context per worker OS thread; its arenas persist across
     // jobs (and sweeps), so steady-state runs allocate nothing.
@@ -411,12 +399,10 @@ SweepResult run_variant_sweep(const SweepConfig& config,
       try {
         const auto scheme = variants[v].make();
         runner.bind(*scheme);
-        if (use_full) {
+        if (config.audit) {
           const sim::SimulationTrace& trace =
               runner.run_full(*scheme, *sr.plan, sim_config);
-          if (config.audit) {
-            audit::audit_or_throw(trace, ts, audit_options);
-          }
+          audit::audit_or_throw(trace, ts, audit_options);
           sr.totals[v] = energy::account_energy(trace, config.power).total();
           sr.qos_ok[v] =
               metrics::audit_qos(trace, ts).theorem1_holds() ? 1 : 0;
@@ -432,11 +418,9 @@ SweepResult run_variant_sweep(const SweepConfig& config,
       }
     }
   });
-  result.timings.simulate_seconds = seconds_since(simulate_start);
 
   // Phase 3: aggregation, strictly in (bin, set) index order — same
   // floating-point accumulation order as a fully serial run.
-  const auto aggregate_start = Clock::now();
   for (std::size_t b = 0; b < batches.size(); ++b) {
     BinSummary bin;
     bin.bin_lo = batches[b].bin_lo;
@@ -475,7 +459,6 @@ SweepResult run_variant_sweep(const SweepConfig& config,
     }
     result.bins.push_back(std::move(bin));
   }
-  result.timings.aggregate_seconds = seconds_since(aggregate_start);
   return result;
 }
 

@@ -103,6 +103,10 @@ struct SweepConfig {
   /// instead of aborting the whole sweep. The (m,k) window check is skipped
   /// for the transient scenario, where double faults on one job may
   /// legitimately break a window (counted by qos_failures as before).
+  /// Audited runs materialize full traces (the auditor needs them); with
+  /// `audit` off the runs take the lean online-statistics sink instead. The
+  /// aggregated SweepResult is bit-identical either way (see
+  /// docs/architecture.md, "Run API, analysis cache & trace sinks").
   bool audit{true};
   /// When non-empty, every quarantined error also dumps a repro bundle
   /// (io/repro_bundle.hpp scenario dialect: task set + platform + scheme +
@@ -118,18 +122,10 @@ struct SweepConfig {
   /// Release-discovery mode forwarded to sim::SimConfig::timeline. The
   /// default kAuto shares one cached release timeline across every scheme
   /// variant of a set (attached by BatchRunner); kHeap forces the classic
-  /// calendar heap -- the cross-check leg perf_sweep and CI use to prove the
-  /// cached path bit-identical. MKSS_TIMELINE still overrides per process.
+  /// calendar heap -- the cross-check leg the SweepTimelineModes tests and
+  /// CI use to prove the cached path bit-identical. MKSS_TIMELINE still
+  /// overrides per process.
   sim::TimelineMode timeline{sim::TimelineMode::kAuto};
-
-  /// Which trace sink the runs use. kAuto materializes full traces exactly
-  /// when `audit` is on (the auditor needs them); kFullTrace forces
-  /// materialization; kStats forces the lean online-statistics path even
-  /// with `audit` off already. The aggregated SweepResult is bit-identical
-  /// either way (see docs/architecture.md, "Run API, analysis cache & trace
-  /// sinks"); audited sweeps ignore kStats and keep full traces.
-  enum class Sink : std::uint8_t { kAuto, kFullTrace, kStats };
-  Sink sink{Sink::kAuto};
 
   /// When non-empty, generated task sets are cached in this directory as
   /// io::serialize_taskset files plus a manifest keyed on every parameter
@@ -194,15 +190,6 @@ struct SweepResult {
   /// for every thread count. Task sets with any errored variant are excluded
   /// from the bin statistics.
   std::vector<SweepError> errors;
-
-  /// Wall-clock seconds per sweep phase (generation / simulation /
-  /// aggregation), for throughput reporting (bench/perf_sweep).
-  struct PhaseTimings {
-    double generate_seconds{0};
-    double simulate_seconds{0};
-    double aggregate_seconds{0};
-  };
-  PhaseTimings timings;
 
   /// Largest mean relative gain of scheme `a` over scheme `b` across bins
   /// (indices into scheme_names), e.g. 0.28 for "up to 28% lower energy".

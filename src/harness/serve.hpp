@@ -72,7 +72,7 @@ struct ServeTelemetry {
   /// Release-timeline cache traffic summed over the worker RunContexts
   /// (core::TimelineCache, content-keyed): repeated corpus sets should hit
   /// warm -- a hit count stuck at zero means the serve integration regressed
-  /// to cold per-request timeline builds (bench/perf_serve asserts on it).
+  /// to cold per-request timeline builds (a serve test asserts on it).
   std::uint64_t timeline_hits{0};
   std::uint64_t timeline_misses{0};
   double wall_seconds{0};  ///< start() to finish()

@@ -1,9 +1,8 @@
 // One JSON emission path for the whole repo.
 //
-// Four hand-rolled emitters used to build JSON by string concatenation --
-// the trace exporter, the serve wire protocol, and the BENCH_*.json writers
-// in bench/perf_{sweep,engine,gen} -- each with its own escaping and number
-// habits. JsonWriter centralizes the three policies that must not drift:
+// The trace exporter and the serve wire protocol both write through
+// JsonWriter rather than concatenating strings with escaping and number
+// habits of their own. It centralizes the three policies that must not drift:
 //
 //   * string escaping (", \, control characters);
 //   * tick-exact fixed-point numbers: ticks render as "%lld.%03lld" ms (the

@@ -166,14 +166,17 @@ struct SimStats {
   std::uint64_t mandatory_misses{0};  ///< must stay 0 when Theorem 1 applies
   std::uint64_t preemptions{0};       ///< copies stopped with work remaining
 
-  // Event-core counters (bench/perf_engine): how much work the indexed event
-  // loop actually did. Identical across sinks and thread counts; the scan
-  // oracle (SimConfig::cross_check) does not touch them.
+  // Event-core counters: how much work the indexed event loop actually did.
+  // Identical across sinks (Sinks tests) and release-discovery modes
+  // (EngineFuzz); the scan oracle (SimConfig::cross_check) does not touch
+  // them.
   std::uint64_t sim_events{0};           ///< main-loop iterations (events processed)
   std::uint64_t completions{0};          ///< execution copies that ran to completion
   std::uint64_t deadline_fires{0};       ///< deadline-queue pops
   std::uint64_t eligibility_wakeups{0};  ///< pending copies promoted to ready (θ/Y)
   std::uint64_t dispatch_pops{0};        ///< ready-queue entries lazily discarded
+
+  friend bool operator==(const SimStats&, const SimStats&) = default;
 };
 
 /// Full result of a run: execution segments, job records, per-task outcome

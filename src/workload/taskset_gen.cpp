@@ -1,7 +1,6 @@
 #include "workload/taskset_gen.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 
@@ -416,12 +415,11 @@ struct BatchScratch {
 
 /// Runs attempts [first_attempt, first_attempt + count) of a bin through the
 /// batch pipeline, writing each attempt's result (and accepted tasks) into
-/// slots[0..count). Accumulates per-stage wall-clock into `times`.
+/// slots[0..count).
 void run_batch(const GenParams& params, double bin_lo, double bin_hi,
                std::uint64_t seed, std::uint64_t bin_index,
                std::uint64_t first_attempt, std::size_t count, BatchScratch& b,
-               Slot* slots, GenStageSeconds& times) {
-  using clock = std::chrono::steady_clock;
+               Slot* slots) {
   constexpr std::size_t stride = kRowStride;
   b.prepare(count);
 
@@ -438,7 +436,6 @@ void run_batch(const GenParams& params, double bin_lo, double bin_hi,
   const auto max_k = static_cast<std::int64_t>(params.max_k);
   const double deadline_factor = params.deadline_factor;
   const bool implicit_deadlines = deadline_factor == 1.0;
-  const auto t0 = clock::now();
   for (std::size_t c = 0; c < count; ++c) {
     core::Rng rng(core::stream_seed(seed, bin_index, first_attempt + c));
     b.target[c] = rng.uniform(bin_lo, bin_hi);
@@ -477,7 +474,6 @@ void run_batch(const GenParams& params, double bin_lo, double bin_hi,
   // The deadline of a longest-period task equals the max deadline (the
   // deadline is a weakly increasing pure function of the period), so
   // run_attempt's wcet_sum > lp_deadline is exactly sum_c > max_d.
-  const auto t1 = clock::now();
   for (std::size_t c = 0; c < count; ++c) {
     if (b.alive[c] == 0) continue;
     const std::size_t base = c * stride;
@@ -494,7 +490,6 @@ void run_batch(const GenParams& params, double bin_lo, double bin_hi,
   }
 
   // ---- finalize survivors: the work the prefilter let everyone else skip --
-  const auto t2 = clock::now();
   b.cands.clear();
   b.cand_slot.clear();
   for (std::size_t c = 0; c < count; ++c) {
@@ -562,7 +557,6 @@ void run_batch(const GenParams& params, double bin_lo, double bin_hi,
                        b.k.data() + base, order, n});
     b.cand_slot.push_back(static_cast<std::uint32_t>(c));
   }
-  const auto t3 = clock::now();
 
   // ---- staged admission of everything still undecided ----
   for (std::size_t e = 0; e < b.cands.size(); ++e) {
@@ -595,16 +589,6 @@ void run_batch(const GenParams& params, double bin_lo, double bin_hi,
                        verdict.stage ==
                            analysis::AdmissionStage::kHyperbolicAccept};
   }
-
-  const auto t4 = clock::now();
-
-  const auto secs = [](clock::time_point a, clock::time_point e) {
-    return std::chrono::duration<double>(e - a).count();
-  };
-  times.draw += secs(t0, t1);
-  times.prefilter += secs(t1, t2);
-  times.finalize += secs(t2, t3);
-  times.admit += secs(t3, t4);
 }
 
 }  // namespace
@@ -616,14 +600,6 @@ GenCounters& GenCounters::operator+=(const GenCounters& o) noexcept {
   rta_rejects += o.rta_rejects;
   accepted += o.accepted;
   quick_accepts += o.quick_accepts;
-  return *this;
-}
-
-GenStageSeconds& GenStageSeconds::operator+=(const GenStageSeconds& o) noexcept {
-  draw += o.draw;
-  prefilter += o.prefilter;
-  finalize += o.finalize;
-  admit += o.admit;
   return *this;
 }
 
@@ -679,7 +655,6 @@ BinnedBatch generate_bin(const GenParams& params, double bin_lo, double bin_hi,
                                                workers * per_job);
     if (slots.size() < chunk) slots.resize(chunk);
     const auto jobs = static_cast<std::size_t>((chunk + per_job - 1) / per_job);
-    std::vector<GenStageSeconds> job_times(use_batch ? jobs : 0);
     core::parallel_for(pool, jobs, [&](std::size_t job) {
       const std::uint64_t begin = job * per_job;
       const auto end = std::min<std::uint64_t>(begin + per_job, chunk);
@@ -687,7 +662,7 @@ BinnedBatch generate_bin(const GenParams& params, double bin_lo, double bin_hi,
         static thread_local BatchScratch scratch;
         run_batch(params, bin_lo, bin_hi, seed, bin_index, next + begin,
                   static_cast<std::size_t>(end - begin), scratch,
-                  slots.data() + begin, job_times[job]);
+                  slots.data() + begin);
       } else {
         static thread_local AttemptWorker worker;
         for (std::uint64_t i = begin; i < end; ++i) {
@@ -696,7 +671,6 @@ BinnedBatch generate_bin(const GenParams& params, double bin_lo, double bin_hi,
         }
       }
     });
-    for (const auto& jt : job_times) batch.stage_seconds += jt;
     for (std::uint64_t i = 0;
          i < chunk && batch.sets.size() < want_schedulable; ++i) {
       ++batch.attempts;

@@ -89,21 +89,6 @@ struct GenCounters {
   friend bool operator==(const GenCounters&, const GenCounters&) = default;
 };
 
-/// Wall-clock spent per stage of the batched generation pipeline, in
-/// seconds. Telemetry only -- never part of the bit-identity contract. With
-/// a thread pool the per-worker times are summed, so the fields read as CPU
-/// seconds per stage, which is the right unit for "where do the cycles go".
-/// The eager path (parameters outside the batch pipeline's envelope) leaves
-/// all fields zero.
-struct GenStageSeconds {
-  double draw{0};       ///< RNG draws + SoA fill
-  double prefilter{0};  ///< sigma-C > D_lp screen
-  double finalize{0};   ///< deferred shares/m, repair, sort, bin check
-  double admit{0};      ///< staged admission of the bin-checked survivors
-
-  GenStageSeconds& operator+=(const GenStageSeconds& o) noexcept;
-};
-
 /// A batch of schedulable task sets inside one (m,k)-utilization bin.
 struct BinnedBatch {
   double bin_lo{0};
@@ -111,7 +96,6 @@ struct BinnedBatch {
   std::vector<core::TaskSet> sets;   ///< R-pattern schedulable, util in bin
   std::uint64_t attempts{0};         ///< total generation attempts
   GenCounters counters;              ///< where the attempts went
-  GenStageSeconds stage_seconds;     ///< per-stage timing telemetry
 };
 
 /// Generates until `want_schedulable` schedulable sets landed in

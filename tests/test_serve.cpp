@@ -314,6 +314,38 @@ TEST(AdmissionService, StreamIsByteIdenticalForEveryWorkerCount) {
   }
 }
 
+TEST(AdmissionService, RepeatedCorpusWarmsTheTimelineCache) {
+  // Release timelines are keyed on (periods, deadlines, horizon) content, so
+  // a corpus served twice builds each distinct timeline once and hits warm
+  // on every repeat. Forced to the default cached mode, so the contract is
+  // checked under an MKSS_TIMELINE=heap environment too.
+  const std::vector<std::string> tasksets = {kFig1,
+                                             "a 4 4 1 1 2\nb 8 8 2 1 3\n"};
+  std::vector<std::string> corpus;
+  for (const std::string& ts : tasksets) {
+    for (const std::int64_t horizon_ms : {100, 200}) {
+      for (const char* scheme : {"st", "selective"}) {
+        corpus.push_back(request_line([&](io::ServeRequest& r) {
+          r.taskset = ts;
+          r.scheme = scheme;
+          r.horizon = core::from_ms(horizon_ms);
+        }));
+      }
+    }
+  }
+  const std::uint64_t distinct_contents = 4;  // 2 task sets x 2 horizons
+  std::vector<std::string> lines = corpus;
+  lines.insert(lines.end(), corpus.begin(), corpus.end());
+
+  sim::set_forced_timeline_mode(sim::TimelineMode::kAuto);
+  const auto [stream, telemetry] = run_service(lines, 1);
+  sim::clear_forced_timeline_mode();
+
+  EXPECT_EQ(telemetry.ok, lines.size()) << stream;
+  EXPECT_GT(telemetry.timeline_hits, 0u);
+  EXPECT_EQ(telemetry.timeline_misses, distinct_contents);
+}
+
 TEST(AdmissionService, BackpressureBoundsTheQueue) {
   std::vector<std::string> lines;
   for (int i = 0; i < 16; ++i) lines.push_back(ok_request("q" + std::to_string(i), "st"));

@@ -56,7 +56,8 @@ void expect_same_qos(const metrics::QosReport& full,
 
 /// Runs the same (set, scheme kind, fault plan, power) once through each
 /// sink -- a fresh scheme instance per run, schemes are stateful -- and
-/// compares energy and QoS exactly.
+/// compares energy, QoS and every SimStats counter exactly: the sink must not
+/// change which events the engine processes.
 void expect_sinks_agree(const TaskSet& ts, sched::SchemeKind kind,
                         const sim::FaultPlan& faults, const sim::SimConfig& cfg,
                         const energy::PowerParams& power) {
@@ -68,6 +69,7 @@ void expect_sinks_agree(const TaskSet& ts, sched::SchemeKind kind,
   const sim::SimulationTrace& trace = runner.run_full(*full_scheme, faults, cfg);
   const energy::EnergyBreakdown full_energy = energy::account_energy(trace, power);
   const metrics::QosReport full_qos = metrics::audit_qos(trace, ts);
+  const sim::SimStats full_stats = trace.stats;
 
   const auto lean_scheme = sched::make_scheme(kind);
   runner.bind(*lean_scheme);
@@ -75,6 +77,7 @@ void expect_sinks_agree(const TaskSet& ts, sched::SchemeKind kind,
 
   expect_same_energy(full_energy, stats.energy());
   expect_same_qos(full_qos, stats.qos());
+  EXPECT_EQ(full_stats, stats.stats());
 }
 
 sim::SimConfig config_ms(std::int64_t horizon_ms) {
@@ -155,12 +158,14 @@ TEST(Sinks, StatsMatchesFullTraceWithDvsFrequencies) {
   ASSERT_LT(full_scheme.main_frequency(), 1.0);
   const auto full_energy = energy::account_energy(trace, power);
   const auto full_qos = metrics::audit_qos(trace, ts);
+  const sim::SimStats full_stats = trace.stats;
 
   sched::MkssDp lean_scheme(opts);
   runner.bind(lean_scheme);
   const sim::StatsSink& stats = runner.run_stats(lean_scheme, nofault, cfg, power);
   expect_same_energy(full_energy, stats.energy());
   expect_same_qos(full_qos, stats.qos());
+  EXPECT_EQ(full_stats, stats.stats());
 }
 
 TEST(Sinks, StatsMatchesFullTraceOnRandomizedSets) {
@@ -216,35 +221,36 @@ harness::SweepConfig small_sweep() {
 }
 
 TEST(Sinks, SweepStatsSinkBitIdenticalAcrossSinkAndThreadCounts) {
+  // An audited sweep materializes full traces; with the audit off the runs
+  // take the lean StatsSink path. Nothing gets quarantined here, so the two
+  // must agree bit for bit, serial or pooled.
   auto ref_cfg = small_sweep();
-  ref_cfg.audit = false;
-  ref_cfg.sink = harness::SweepConfig::Sink::kFullTrace;
+  ref_cfg.audit = true;
   ref_cfg.num_threads = 1;
   const auto reference = harness::run_sweep(ref_cfg);
+  ASSERT_TRUE(reference.errors.empty());
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     auto cfg = small_sweep();
     cfg.audit = false;
-    cfg.sink = harness::SweepConfig::Sink::kStats;
     cfg.num_threads = threads;
     expect_same_sweep(reference, harness::run_sweep(cfg));
   }
 }
 
 TEST(Sinks, AuditedFullTraceSweepMatchesLeanSweep) {
-  // kAuto with audit on materializes traces; the lean no-audit path must
-  // still produce the same statistics (nothing gets quarantined here).
+  // The same contract under a permanent fault per set, so the statistics of
+  // both sinks also cover backup execution and degraded-mode runs.
   auto audited_cfg = small_sweep();
+  audited_cfg.scenario = fault::Scenario::kPermanentOnly;
   audited_cfg.audit = true;
   const auto audited = harness::run_sweep(audited_cfg);
   ASSERT_TRUE(audited.errors.empty());
 
-  auto lean_cfg = small_sweep();
+  auto lean_cfg = audited_cfg;
   lean_cfg.audit = false;
-  lean_cfg.sink = harness::SweepConfig::Sink::kStats;
-  const auto lean = harness::run_sweep(lean_cfg);
-  expect_same_sweep(audited, lean);
+  expect_same_sweep(audited, harness::run_sweep(lean_cfg));
 }
 
 }  // namespace
