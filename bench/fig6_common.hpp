@@ -4,18 +4,18 @@
 // CSV block for plotting.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string_view>
 
 #include "mkss.hpp"
 
 namespace mkss::benchrun {
 
-/// Paper parameters; the environment variables MKSS_SETS_PER_BIN,
-/// MKSS_MAX_ATTEMPTS and MKSS_THREADS can scale the experiment up or down.
-/// Benches default to one worker per hardware thread (num_threads = 0);
-/// results are bit-identical for every thread count.
+/// Paper parameters. Benches default to one worker per hardware thread
+/// (num_threads = 0); results are bit-identical for every thread count.
 inline harness::SweepConfig paper_sweep_config(fault::Scenario scenario) {
   harness::SweepConfig cfg;
   cfg.scenario = scenario;
@@ -25,52 +25,51 @@ inline harness::SweepConfig paper_sweep_config(fault::Scenario scenario) {
   cfg.max_attempts_per_bin = 5000;  // "or at least 5000 task sets generated"
   cfg.horizon_cap = core::from_ms(std::int64_t{2000});
   cfg.num_threads = 0;  // all hardware threads
-  if (const char* env = std::getenv("MKSS_SETS_PER_BIN")) {
-    cfg.sets_per_bin = static_cast<std::size_t>(std::atoll(env));
-  }
-  if (const char* env = std::getenv("MKSS_MAX_ATTEMPTS")) {
-    cfg.max_attempts_per_bin = static_cast<std::size_t>(std::atoll(env));
-  }
-  if (const char* env = std::getenv("MKSS_THREADS")) {
-    cfg.num_threads = static_cast<std::size_t>(std::atoll(env));
-  }
   return cfg;
 }
 
-/// Shared CLI for every figure/ablation bench:
+/// Strict non-negative integer: only decimal digits, in range. "abc",
+/// "12x", "-1", " 7" and overflowing values are rejected (nullopt) rather
+/// than read as 0 or wrapped to SIZE_MAX.
+inline std::optional<std::size_t> parse_count(std::string_view value) {
+  std::size_t v = 0;
+  const char* last = value.data() + value.size();
+  const auto [end, ec] = std::from_chars(value.data(), last, v);
+  if (ec != std::errc{} || end != last) return std::nullopt;
+  return v;
+}
+
+/// Shared CLI for every figure/ablation sweep bench:
 ///   --threads n       worker threads (0 = all hardware threads)
 ///   --sets n          schedulable sets per bin
 ///   --max-attempts n  generation cap per bin
-///   --corpus-dir d    cache generated task sets in d (save on first run,
-///                     load on later runs with the same generation key; a
-///                     key mismatch aborts loudly). fig6a/b/c share a corpus:
-///                     the key covers generation inputs only, not the fault
-///                     scenario.
-/// Returns false (after printing usage) on an unknown argument.
+/// Returns false (after printing usage) on an unknown argument, a missing
+/// value or a value that is not a non-negative integer.
 inline bool apply_bench_cli(harness::SweepConfig& cfg, int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--threads" && has_value) {
-      cfg.num_threads = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--sets" && has_value) {
-      cfg.sets_per_bin = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--max-attempts" && has_value) {
-      cfg.max_attempts_per_bin = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--corpus-dir" && has_value) {
-      cfg.corpus_dir = argv[++i];
-    } else {
+    std::size_t* target = nullptr;
+    if (arg == "--threads") {
+      target = &cfg.num_threads;
+    } else if (arg == "--sets") {
+      target = &cfg.sets_per_bin;
+    } else if (arg == "--max-attempts") {
+      target = &cfg.max_attempts_per_bin;
+    }
+    std::optional<std::size_t> value;
+    if (target != nullptr && i + 1 < argc) value = parse_count(argv[++i]);
+    if (!value) {
       std::fprintf(stderr,
-                   "usage: %s [--threads n] [--sets n] [--max-attempts n] "
-                   "[--corpus-dir d]\n",
+                   "usage: %s [--threads n] [--sets n] [--max-attempts n]\n",
                    argv[0]);
       return false;
     }
+    *target = *value;
   }
   return true;
 }
 
-/// paper_sweep_config with the shared CLI applied; exits on bad usage.
+/// paper_sweep_config with the shared CLI applied; exits 2 on bad usage.
 inline harness::SweepConfig bench_config(fault::Scenario scenario, int argc,
                                          char** argv) {
   auto cfg = paper_sweep_config(scenario);
@@ -79,20 +78,20 @@ inline harness::SweepConfig bench_config(fault::Scenario scenario, int argc,
 }
 
 /// Thread count for benches that drive run_one loops directly instead of
-/// going through a SweepConfig: MKSS_THREADS env, overridden by --threads
-/// (0 = all hardware threads).
+/// going through a SweepConfig: --threads n (0, the default, = all hardware
+/// threads). Exits 2 with usage on any other argument or a bad value.
 inline std::size_t bench_threads(int argc, char** argv) {
   std::size_t threads = 0;
-  if (const char* env = std::getenv("MKSS_THREADS")) {
-    threads = static_cast<std::size_t>(std::atoll(env));
-  }
   for (int i = 1; i < argc; ++i) {
+    std::optional<std::size_t> value;
     if (std::string_view(argv[i]) == "--threads" && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else {
+      value = parse_count(argv[++i]);
+    }
+    if (!value) {
       std::fprintf(stderr, "usage: %s [--threads n]\n", argv[0]);
       std::exit(2);
     }
+    threads = *value;
   }
   return threads;
 }

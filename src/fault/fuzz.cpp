@@ -303,7 +303,6 @@ io::ReproBundle to_bundle(const ReproCase& c, const ReproVerdict& v) {
   for (const sim::ProcRole role : c.platform.roles) {
     b.roles += role == sim::ProcRole::kStandby ? 'S' : 'W';
   }
-  b.stream_version = 2;
   b.horizon = c.horizon;
   b.scenario_plan = false;
   b.permanent = c.plan.permanent();

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <future>
-#include <stdexcept>
 #include <utility>
 
 #include "core/thread_pool.hpp"
@@ -29,11 +27,6 @@ RunResult run_one(const RunSpec& spec) {
 
   RunResult r;
   sim::Simulator simulator;
-  if (spec.sink != nullptr) {
-    simulator.run(spec.ts, *scheme, faults, spec.sim, *spec.sink,
-                  spec.exec_model);
-    return r;  // results live in the caller's sink
-  }
   sim::FullTraceSink sink;
   simulator.run(spec.ts, *scheme, faults, spec.sim, sink, spec.exec_model);
   r.trace = sink.take();
@@ -143,7 +136,6 @@ void dump_error_bundle(const std::string& dir, const SweepError& err,
   bundle.scheme = registry_name.empty() ? err.variant : registry_name;
   bundle.procs = 2;
   bundle.roles = "WS";
-  bundle.stream_version = config.gen.stream_version;
   bundle.horizon = horizon;
   bundle.scenario_plan = true;
   bundle.scenario = fault::to_string(config.scenario);
@@ -156,148 +148,6 @@ void dump_error_bundle(const std::string& dir, const SweepError& err,
   if (!out) {
     std::fprintf(stderr, "warning: cannot write repro bundle %s\n",
                  path.c_str());
-  }
-}
-
-// --- Corpus cache --------------------------------------------------------
-//
-// A corpus directory holds one io::serialize_taskset file per accepted set
-// plus manifest.txt. The manifest opens with a key block covering every
-// input task-set generation reads; %a formatting keeps the doubles exact, so
-// two configs collide on a key iff generation would produce the same corpus.
-// The per-bin lines then record set counts and generation attempts (attempts
-// are reported in the sweep output, so a loaded corpus must reproduce them).
-
-std::string corpus_manifest_path(const SweepConfig& config) {
-  return config.corpus_dir + "/manifest.txt";
-}
-
-std::string corpus_set_path(const SweepConfig& config, std::size_t bin,
-                            std::size_t set) {
-  return config.corpus_dir + "/bin" + std::to_string(bin) + "_set" +
-         std::to_string(set) + ".taskset";
-}
-
-std::string corpus_key(const SweepConfig& config) {
-  char buf[160];
-  // v2: the RNG substream scheme moved to per-attempt streams
-  // (GenParams::stream_version 2), which reshuffles every generated set, so
-  // the key header and the gen line's trailing stream_version make corpora
-  // written by v1 builds abort loudly instead of replaying stale sets.
-  std::string key = "mkss-corpus-v2\n";
-  key += "seed " + std::to_string(config.seed) + "\n";
-  std::snprintf(buf, sizeof buf, "bin_width %a\nbins", config.bin_width);
-  key += buf;
-  for (const double b : config.bin_starts) {
-    std::snprintf(buf, sizeof buf, " %a", b);
-    key += buf;
-  }
-  key += "\nsets_per_bin " + std::to_string(config.sets_per_bin) + "\n";
-  key += "max_attempts_per_bin " + std::to_string(config.max_attempts_per_bin) +
-         "\n";
-  const workload::GenParams& g = config.gen;
-  std::snprintf(buf, sizeof buf, "gen %zu %zu %lld %lld %u %u %a %d %d %u\n",
-                g.min_tasks, g.max_tasks,
-                static_cast<long long>(g.min_period_ms),
-                static_cast<long long>(g.max_period_ms), g.min_k, g.max_k,
-                g.deadline_factor, static_cast<int>(g.wcet_model),
-                static_cast<int>(g.accept_model), g.stream_version);
-  key += buf;
-  return key;
-}
-
-/// Loads the corpus into `batches`. Returns false when the directory has no
-/// manifest yet (fresh cache: generate and save). Throws when the manifest
-/// exists but was written under a different key -- reusing those sets would
-/// silently benchmark a different workload -- or when a listed file is
-/// missing or corrupt.
-bool load_corpus(const SweepConfig& config,
-                 std::vector<workload::BinnedBatch>& batches) {
-  std::ifstream in(corpus_manifest_path(config));
-  if (!in) return false;
-
-  const std::string expected = corpus_key(config);
-  std::string key, line;
-  std::vector<std::string> bin_lines;
-  while (std::getline(in, line)) {
-    if (line.rfind("bin ", 0) == 0) {
-      bin_lines.push_back(line);
-    } else if (bin_lines.empty()) {
-      key += line + "\n";
-    }
-  }
-  if (key != expected) {
-    throw std::runtime_error(
-        "corpus " + config.corpus_dir +
-        " was generated with different sweep parameters; delete the "
-        "directory to regenerate.\n--- stored key ---\n" + key +
-        "--- expected key ---\n" + expected);
-  }
-  if (bin_lines.size() != config.bin_starts.size()) {
-    throw std::runtime_error("corpus " + config.corpus_dir + ": manifest has " +
-                             std::to_string(bin_lines.size()) + " bins, sweep " +
-                             std::to_string(config.bin_starts.size()));
-  }
-  for (std::size_t b = 0; b < bin_lines.size(); ++b) {
-    std::size_t idx = 0, sets = 0;
-    unsigned long long attempts = 0;
-    unsigned long long stage[6] = {};
-    if (std::sscanf(bin_lines[b].c_str(),
-                    "bin %zu sets %zu attempts %llu "
-                    "stages %llu %llu %llu %llu %llu quick %llu",
-                    &idx, &sets, &attempts, &stage[0], &stage[1], &stage[2],
-                    &stage[3], &stage[4], &stage[5]) != 9 ||
-        idx != b) {
-      throw std::runtime_error("corpus " + config.corpus_dir +
-                               ": malformed manifest line '" + bin_lines[b] +
-                               "'");
-    }
-    workload::BinnedBatch& batch = batches[b];
-    batch.bin_lo = config.bin_starts[b];
-    batch.bin_hi = batch.bin_lo + config.bin_width;
-    batch.attempts = attempts;
-    batch.counters = {stage[0], stage[1], stage[2], stage[3], stage[4],
-                      stage[5]};
-    batch.sets.reserve(sets);
-    for (std::size_t s = 0; s < sets; ++s) {
-      batch.sets.push_back(io::parse_taskset_file(corpus_set_path(config, b, s)));
-    }
-  }
-  return true;
-}
-
-void save_corpus(const SweepConfig& config,
-                 const std::vector<workload::BinnedBatch>& batches) {
-  std::error_code ec;
-  std::filesystem::create_directories(config.corpus_dir, ec);
-  if (ec) {
-    throw std::runtime_error("corpus: cannot create " + config.corpus_dir +
-                             ": " + ec.message());
-  }
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    for (std::size_t s = 0; s < batches[b].sets.size(); ++s) {
-      const std::string path = corpus_set_path(config, b, s);
-      std::ofstream out(path);
-      out << io::serialize_taskset(batches[b].sets[s]);
-      if (!out.flush()) {
-        throw std::runtime_error("corpus: cannot write " + path);
-      }
-    }
-  }
-  // The manifest goes last: an interrupted save leaves no manifest, which
-  // reads as "no corpus" and regenerates, never as a truncated corpus.
-  std::ofstream out(corpus_manifest_path(config));
-  out << corpus_key(config);
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    const workload::GenCounters& c = batches[b].counters;
-    out << "bin " << b << " sets " << batches[b].sets.size() << " attempts "
-        << batches[b].attempts << " stages " << c.draw_failures << " "
-        << c.out_of_bin << " " << c.filter_rejects << " " << c.rta_rejects
-        << " " << c.accepted << " quick " << c.quick_accepts << "\n";
-  }
-  if (!out.flush()) {
-    throw std::runtime_error("corpus: cannot write " +
-                             corpus_manifest_path(config));
   }
 }
 
@@ -322,18 +172,13 @@ SweepResult run_variant_sweep(const SweepConfig& config,
   // utilization bins need orders of magnitude more attempts than low ones,
   // and per-bin jobs left every worker but one idle on the last stragglers.
   std::vector<workload::BinnedBatch> batches(config.bin_starts.size());
-  const bool corpus_loaded =
-      !config.corpus_dir.empty() && load_corpus(config, batches);
-  if (!corpus_loaded) {
-    const std::uint64_t gen_root =
-        core::stream_seed(config.seed, kGenerationStream, 0);
-    for (std::size_t b = 0; b < batches.size(); ++b) {
-      const double lo = config.bin_starts[b];
-      batches[b] = workload::generate_bin(
-          config.gen, lo, lo + config.bin_width, config.sets_per_bin,
-          config.max_attempts_per_bin, gen_root, b, pool.get());
-    }
-    if (!config.corpus_dir.empty()) save_corpus(config, batches);
+  const std::uint64_t gen_root =
+      core::stream_seed(config.seed, kGenerationStream, 0);
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    const double lo = config.bin_starts[b];
+    batches[b] = workload::generate_bin(
+        config.gen, lo, lo + config.bin_width, config.sets_per_bin,
+        config.max_attempts_per_bin, gen_root, b, pool.get());
   }
 
   for (std::size_t b = 0; b < batches.size(); ++b) {

@@ -52,15 +52,10 @@ struct RunSpec {
   energy::PowerParams power{};
   /// Actual execution times (default WCET, the paper's model).
   const sim::ExecTimeModel* exec_model{nullptr};
-  /// Custom trace sink. When set, the engine streams into it and the
-  /// returned RunResult is empty -- results live in the sink (e.g. a
-  /// sim::StatsSink for trace-free energy/QoS). When null, run_one uses an
-  /// internal FullTraceSink and returns the materialized trace plus its
-  /// energy accounting and QoS audit.
-  sim::TraceSink* sink{nullptr};
 };
 
-/// Runs one simulation as described by `spec`.
+/// Runs one simulation as described by `spec` and returns the materialized
+/// trace plus its energy accounting and QoS audit.
 RunResult run_one(const RunSpec& spec);
 
 /// Simulation horizon for a task set: the (m,k)-pattern hyperperiod when it
@@ -126,16 +121,6 @@ struct SweepConfig {
   /// CI use to prove the cached path bit-identical. MKSS_TIMELINE still
   /// overrides per process.
   sim::TimelineMode timeline{sim::TimelineMode::kAuto};
-
-  /// When non-empty, generated task sets are cached in this directory as
-  /// io::serialize_taskset files plus a manifest keyed on every parameter
-  /// generation depends on (seed, bin grid, set counts, GenParams). A later
-  /// sweep with the same key loads the corpus instead of regenerating --
-  /// bit-identical either way, since the serializer is tick-exact. A manifest
-  /// written under a *different* key makes the sweep throw instead of
-  /// silently mixing workloads; delete the directory to regenerate. Sweeps
-  /// that differ only in fault scenario / power / schemes share one corpus.
-  std::string corpus_dir{};
 };
 
 struct BinSummary {

@@ -70,7 +70,7 @@ std::string serialize_repro_bundle(const ReproBundle& bundle) {
   out << "# scheme: " << bundle.scheme << "\n"
       << "# procs: " << bundle.procs << "\n"
       << "# roles: " << bundle.roles << "\n"
-      << "# stream-version: " << bundle.stream_version << "\n"
+      << "# stream-version: " << kStreamVersion << "\n"
       << "# horizon-ticks: " << bundle.horizon << "\n"
       << "# plan: " << (bundle.scenario_plan ? "scenario" : "explicit") << "\n";
   if (bundle.scenario_plan) {
@@ -100,10 +100,9 @@ ReproBundle parse_repro_bundle_string(const std::string& text) {
   ReproBundle bundle;
   bundle.procs = 0;
   bundle.roles.clear();
-  bundle.stream_version = 0;
   bool saw_header = false;
   bool saw_plan = false;
-  bool saw_stream_version = false;
+  std::optional<std::uint64_t> stream_version;
 
   std::istringstream in(text);
   std::string line;
@@ -127,10 +126,8 @@ ReproBundle parse_repro_bundle_string(const std::string& text) {
       bundle.procs = static_cast<std::size_t>(parse_key_u64(key, value));
     } else if (key == "roles" && bundle.roles.empty()) {
       bundle.roles = value;
-    } else if (key == "stream-version" && !saw_stream_version) {
-      bundle.stream_version =
-          static_cast<std::uint32_t>(parse_key_u64(key, value));
-      saw_stream_version = true;
+    } else if (key == "stream-version" && !stream_version) {
+      stream_version = parse_key_u64(key, value);
     } else if (key == "horizon-ticks" && bundle.horizon == 0) {
       bundle.horizon = parse_key_i64(key, value);
     } else if (key == "plan" && !saw_plan) {
@@ -200,11 +197,12 @@ ReproBundle parse_repro_bundle_string(const std::string& text) {
                        c + "' (want W or S)");
     }
   }
-  if (!saw_stream_version || bundle.stream_version != 2) {
+  if (stream_version != kStreamVersion) {
     throw ParseError(
         "repro bundle: unsupported stream-version " +
-        std::to_string(bundle.stream_version) +
-        " (this build replays stream version 2 only; regenerate the bundle)");
+        std::to_string(stream_version.value_or(0)) +
+        " (this build replays stream version " +
+        std::to_string(kStreamVersion) + " only; regenerate the bundle)");
   }
   if (bundle.horizon <= 0) {
     throw ParseError("repro bundle: missing or non-positive 'horizon-ticks'");

@@ -44,6 +44,12 @@ struct ReproTransient {
   friend bool operator==(const ReproTransient&, const ReproTransient&) = default;
 };
 
+/// The generation stream layout every bundle is written under (each
+/// workload::generate_bin attempt draws from its own named stream). Bundles
+/// carry it as `# stream-version:`; parsing refuses any other value, since a
+/// bundle from another layout would name different task sets.
+inline constexpr std::uint32_t kStreamVersion = 2;
+
 struct ReproBundle {
   /// Why the run was quarantined: "audit-violation", "exception", "timeout",
   /// or a harness-specific tag. Informational; replay derives its own.
@@ -54,8 +60,6 @@ struct ReproBundle {
   /// ('W' = worker, 'S' = standby), e.g. "WS" for the paper's dual platform.
   std::size_t procs{2};
   std::string roles{"WS"};
-  /// workload::GenParams::stream_version the producing harness ran with.
-  std::uint32_t stream_version{2};
   core::Ticks horizon{0};
 
   /// Dialect switch: false = explicit plan, true = scenario plan.

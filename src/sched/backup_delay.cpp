@@ -17,33 +17,6 @@ const char* to_string(BackupDelayPolicy policy) {
   return "?";
 }
 
-std::vector<core::Ticks> backup_delays(const core::TaskSet& ts,
-                                       BackupDelayPolicy policy,
-                                       core::PatternKind pattern) {
-  std::vector<core::Ticks> delays(ts.size(), 0);
-  switch (policy) {
-    case BackupDelayPolicy::kNone:
-      break;
-    case BackupDelayPolicy::kPromotion: {
-      const auto promos = analysis::promotion_times(ts);
-      for (core::TaskIndex i = 0; i < ts.size(); ++i) {
-        delays[i] = promos[i] ? std::max<core::Ticks>(0, *promos[i]) : 0;
-      }
-      break;
-    }
-    case BackupDelayPolicy::kPostponed: {
-      analysis::PostponementOptions opts;
-      opts.pattern = pattern;
-      const auto result = analysis::compute_postponement(ts, opts);
-      for (core::TaskIndex i = 0; i < ts.size(); ++i) {
-        delays[i] = result.theta(i);
-      }
-      break;
-    }
-  }
-  return delays;
-}
-
 std::vector<core::Ticks> backup_delays(analysis::AnalysisCache& cache,
                                        BackupDelayPolicy policy,
                                        core::PatternKind pattern) {

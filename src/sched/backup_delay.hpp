@@ -23,16 +23,10 @@ enum class BackupDelayPolicy : std::uint8_t {
 const char* to_string(BackupDelayPolicy policy);
 
 /// Computes the per-task delay for a policy, applying the safety ladder
-/// (exact theta -> Y -> 0) where an analysis is unavailable. `pattern`
-/// selects which static pattern's mandatory jobs carry backups (used by the
-/// theta analysis only).
-std::vector<core::Ticks> backup_delays(
-    const core::TaskSet& ts, BackupDelayPolicy policy,
-    core::PatternKind pattern = core::PatternKind::kDeeplyRed);
-
-/// Same ladder, but the promotion / postponement analyses come from (and are
-/// memoized in) `cache`. Bit-identical to the uncached overload on
-/// cache.taskset().
+/// (exact theta -> Y -> 0) where an analysis is unavailable. The promotion /
+/// postponement analyses come from (and are memoized in) `cache`, on
+/// cache.taskset(). `pattern` selects which static pattern's mandatory jobs
+/// carry backups (used by the theta analysis only).
 std::vector<core::Ticks> backup_delays(
     analysis::AnalysisCache& cache, BackupDelayPolicy policy,
     core::PatternKind pattern = core::PatternKind::kDeeplyRed);

@@ -32,12 +32,11 @@ void MkssDp::on_setup() {
   // delays come from the scaled set, which upper-bounds both processors'
   // actual mixes of slowed mains and full-speed backups.
   if (main_frequency_ < 1.0) {
-    y_ = backup_delays(scale_wcets(taskset(), main_frequency_), opts_.delay,
-                       opts_.pattern);
-  } else if (analysis::AnalysisCache* c = cache()) {
-    y_ = backup_delays(*c, opts_.delay, opts_.pattern);
+    const core::TaskSet scaled = scale_wcets(taskset(), main_frequency_);
+    analysis::AnalysisCache scaled_cache(scaled);
+    y_ = backup_delays(scaled_cache, opts_.delay, opts_.pattern);
   } else {
-    y_ = backup_delays(taskset(), opts_.delay, opts_.pattern);
+    y_ = backup_delays(cache(), opts_.delay, opts_.pattern);
   }
 }
 

@@ -27,13 +27,9 @@ void MkssSelective::on_setup() {
         ts, analysis::DemandModel::kRPatternMandatory, opts_.dvs);
   }
   // Free function, not the accessor. The theta analysis always runs on the
-  // unscaled set (the spare only executes full-speed work), so a bound
+  // unscaled set (the spare only executes full-speed work), so the set's
   // analysis cache applies with or without DVS.
-  if (analysis::AnalysisCache* c = cache()) {
-    theta_ = sched::backup_delays(*c, opts_.delay);
-  } else {
-    theta_ = sched::backup_delays(ts, opts_.delay);
-  }
+  theta_ = sched::backup_delays(cache(), opts_.delay);
 
   history_.clear();
   history_.reserve(ts.size());

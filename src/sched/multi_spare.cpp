@@ -8,11 +8,7 @@ void MultiSpare::on_setup() {
   const core::TaskSet& ts = taskset();
   // Same safety ladder as MKSS_selective: exact theta where the analysis
   // succeeds, promotion Y as fallback, 0 otherwise.
-  if (analysis::AnalysisCache* c = cache()) {
-    theta_ = sched::backup_delays(*c, BackupDelayPolicy::kPostponed);
-  } else {
-    theta_ = sched::backup_delays(ts, BackupDelayPolicy::kPostponed);
-  }
+  theta_ = sched::backup_delays(cache(), BackupDelayPolicy::kPostponed);
   // Partition mains over the primaries (everything but the last processor).
   const std::size_t primaries = num_procs() - 1;
   assign_.assign(ts.size(), 0);

@@ -2,6 +2,8 @@
 // tracking after the permanent fault, and the default re-routing policy.
 #pragma once
 
+#include <optional>
+
 #include "analysis/cache.hpp"
 #include "sim/scheme.hpp"
 
@@ -15,16 +17,21 @@ class SchemeBase : public sim::Scheme {
 
   void setup(const core::TaskSet& ts) final {
     ts_ = &ts;
+    if (bound_ != nullptr && &bound_->taskset() == &ts) {
+      cache_ = bound_;
+    } else {
+      cache_ = &own_.emplace(ts);
+    }
     degraded_ = false;
     survivor_ = sim::kPrimary;
     on_setup();
   }
 
   /// Binds a shared per-task-set analysis cache (harness::BatchRunner owns
-  /// one per set). The cache must outlive the scheme's use of it; it is
-  /// consulted only while the scheme is set up on the cache's own task set,
-  /// so a stale binding is ignored rather than misapplied.
-  void bind_cache(analysis::AnalysisCache* cache) { cache_ = cache; }
+  /// one per set). The cache must outlive the scheme's use of it; setup()
+  /// uses it only when it belongs to the set being set up, so a stale binding
+  /// is ignored rather than misapplied.
+  void bind_cache(analysis::AnalysisCache* cache) { bound_ = cache; }
 
   void on_permanent_fault(sim::ProcessorId dead, core::Ticks /*now*/) override {
     degraded_ = true;
@@ -54,11 +61,9 @@ class SchemeBase : public sim::Scheme {
 
   const core::TaskSet& taskset() const { return *ts_; }
 
-  /// The bound analysis cache, or nullptr when none is bound or the bound
-  /// cache belongs to a different task set than the current setup().
-  analysis::AnalysisCache* cache() const {
-    return cache_ != nullptr && &cache_->taskset() == ts_ ? cache_ : nullptr;
-  }
+  /// The analyses of the current setup()'s task set: the bound cache when it
+  /// belongs to that set, otherwise a private one made fresh by setup().
+  analysis::AnalysisCache& cache() const { return *cache_; }
   bool degraded() const { return degraded_; }
   sim::ProcessorId survivor() const { return survivor_; }
 
@@ -104,7 +109,9 @@ class SchemeBase : public sim::Scheme {
  private:
   sim::PlatformSpec platform_{};
   const core::TaskSet* ts_ = nullptr;
-  analysis::AnalysisCache* cache_ = nullptr;
+  analysis::AnalysisCache* bound_ = nullptr;
+  std::optional<analysis::AnalysisCache> own_;
+  analysis::AnalysisCache* cache_ = nullptr;  ///< bound_ or &*own_
   bool degraded_ = false;
   sim::ProcessorId survivor_ = sim::kPrimary;
 };

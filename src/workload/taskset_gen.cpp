@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "analysis/admission.hpp"
 
@@ -624,12 +623,6 @@ BinnedBatch generate_bin(const GenParams& params, double bin_lo, double bin_hi,
                          std::size_t want_schedulable, std::size_t max_attempts,
                          std::uint64_t seed, std::uint64_t bin_index,
                          core::ThreadPool* pool) {
-  if (params.stream_version != 2) {
-    throw std::invalid_argument(
-        "generate_bin: unsupported GenParams::stream_version " +
-        std::to_string(params.stream_version) +
-        " (this build only speaks the v2 per-attempt substream scheme)");
-  }
   BinnedBatch batch;
   batch.bin_lo = bin_lo;
   batch.bin_hi = bin_hi;

@@ -47,18 +47,6 @@ struct GenParams {
   /// ("schedulable under R-pattern" in the paper; the E-pattern model is
   /// used by the pattern ablation).
   analysis::DemandModel accept_model{analysis::DemandModel::kRPatternMandatory};
-  /// RNG substream scheme version; 2 is the only supported value.
-  ///
-  /// Version 2 gives every generation attempt its own named stream,
-  /// core::stream_seed(seed, bin_index, attempt), so attempts are mutually
-  /// independent -- which is what lets generate_bin run speculative attempt
-  /// chunks across the thread pool and still commit bit-identical results
-  /// for every thread count. Version 1 (one sequential stream per bin,
-  /// attempt N's draws depending on how many values attempts 0..N-1
-  /// consumed) could not be parallelized and was removed; the bump
-  /// regenerated every golden fixture once and extended the corpus manifest
-  /// key so v1 corpora abort loudly instead of replaying stale sets.
-  std::uint32_t stream_version{2};
 };
 
 /// Draws one random task set whose total (m,k)-utilization is close to

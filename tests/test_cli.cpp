@@ -314,8 +314,8 @@ TEST(Cli, FuzzCleanSchemesExitZero) {
 }
 
 TEST(Cli, FuzzOutputIsBitIdenticalAcrossThreadCounts) {
-  const CliResult serial = run_cli("fuzz --runs 12 --seed 42 --threads 1");
-  const CliResult parallel = run_cli("fuzz --runs 12 --seed 42 --threads 4");
+  const CliResult serial = run_cli("fuzz --runs 100 --seed 42 --threads 1");
+  const CliResult parallel = run_cli("fuzz --runs 100 --seed 42 --threads 4");
   EXPECT_EQ(serial.exit_code, 0) << serial.output;
   EXPECT_EQ(serial.output, parallel.output);
 }
@@ -406,10 +406,16 @@ TEST(Cli, UnknownCommandListsAvailableOnes) {
 constexpr const char* kServeSession =
     R"({"v": 1, "id": "s1", "taskset": "control 5 4 3 2 4\nvideo 10 10 3 1 2\n", "scheme": "st", "horizon_ms": 100})"
     "\n"
-    "definitely not json\n"
-    R"({"v": 1, "id": "s3", "taskset": "control 5 4 3 2 4\n", "scheme": "no_such_scheme"})"
+    R"({"v": 1, "id": "s2", "taskset": "control 5 4 3 2 4\nvideo 10 10 3 1 2\n", "scheme": "st", "permanent": {"proc": 0, "at_ms": 7}, "horizon_ms": 100})"
     "\n"
-    R"({"v": 1, "id": "s4", "taskset": "control 5 4 3 2 4\n", "scheme": "st", "procs": 4})"
+    "definitely not json\n"
+    R"({"v": 1, "id": "s4", "taskset": "control 5 4 3 2 4\n", "scheme": "no_such_scheme"})"
+    "\n"
+    R"({"v": 1, "id": "s5", "taskset": "control 5 4 3 2 4\n", "scheme": "st", "procs": 4})"
+    "\n"
+    R"({"v": 1, "id": "s6", "taskset": "broken nan 1 1 1 2\n", "scheme": "st"})"
+    "\n"
+    R"({"v": 2, "id": "s7", "taskset": "control 5 4 3 2 4\n"})"
     "\n";
 
 TEST(Cli, ServeAnswersWholeSessionIncludingErrors) {
@@ -418,10 +424,15 @@ TEST(Cli, ServeAnswersWholeSessionIncludingErrors) {
   EXPECT_EQ(r.exit_code, 0) << r.output;  // errors are responses, not deaths
   EXPECT_NE(r.output.find("\"id\": \"s1\", \"ok\": true"), std::string::npos)
       << r.output;
-  EXPECT_NE(r.output.find("parse-error"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("unknown-scheme"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("envelope-violation"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("served 4 request(s): 1 ok, 3 error(s)"),
+  EXPECT_NE(r.output.find("\"id\": \"s2\", \"ok\": true"), std::string::npos)
+      << r.output;
+  for (const char* code : {"parse-error", "unknown-scheme",
+                           "envelope-violation", "bad-input", "bad-request"}) {
+    EXPECT_NE(r.output.find("\"code\": \"" + std::string(code) + "\""),
+              std::string::npos)
+        << code << "\n" << r.output;
+  }
+  EXPECT_NE(r.output.find("served 7 request(s): 2 ok, 5 error(s)"),
             std::string::npos)
       << r.output;
   std::filesystem::remove(in);

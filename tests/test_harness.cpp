@@ -301,71 +301,6 @@ TEST(Sweep, ErrorDirReceivesParseableReproBundles) {
   fs::remove_all(dir);
 }
 
-TEST(Sweep, CorpusRoundTripsBitIdentically) {
-  // First sweep generates and saves the corpus; the second loads it. Both
-  // must agree to the last bit -- the serializer is tick-exact, so a loaded
-  // set is the generated set.
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() /
-                       ("mkss_corpus_" + std::to_string(::getpid()));
-  fs::remove_all(dir);
-  SweepConfig cfg;
-  cfg.bin_starts = {0.2, 0.4};
-  cfg.sets_per_bin = 4;
-  cfg.max_attempts_per_bin = 3000;
-  cfg.horizon_cap = core::from_ms(std::int64_t{1000});
-  cfg.corpus_dir = dir.string();
-
-  const auto saved = run_sweep(cfg);
-  ASSERT_TRUE(fs::exists(dir / "manifest.txt"));
-  const auto loaded = run_sweep(cfg);
-
-  ASSERT_EQ(loaded.bins.size(), saved.bins.size());
-  for (std::size_t b = 0; b < saved.bins.size(); ++b) {
-    EXPECT_EQ(loaded.bins[b].sets, saved.bins[b].sets);
-    EXPECT_EQ(loaded.bins[b].attempts, saved.bins[b].attempts);
-    for (std::size_t s = 0; s < saved.bins[b].normalized.size(); ++s) {
-      EXPECT_EQ(loaded.bins[b].normalized[s].mean(),
-                saved.bins[b].normalized[s].mean());
-      EXPECT_EQ(loaded.bins[b].normalized[s].stddev(),
-                saved.bins[b].normalized[s].stddev());
-      EXPECT_EQ(loaded.bins[b].absolute[s].mean(),
-                saved.bins[b].absolute[s].mean());
-    }
-  }
-  EXPECT_EQ(loaded.to_table().to_csv(), saved.to_table().to_csv());
-  fs::remove_all(dir);
-}
-
-TEST(Sweep, CorpusRejectsStaleKeyLoudly) {
-  // A corpus written under different generation parameters must abort the
-  // sweep, never silently benchmark the wrong workload.
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() /
-                       ("mkss_corpus_stale_" + std::to_string(::getpid()));
-  fs::remove_all(dir);
-  SweepConfig cfg;
-  cfg.bin_starts = {0.3};
-  cfg.sets_per_bin = 2;
-  cfg.max_attempts_per_bin = 2000;
-  cfg.horizon_cap = core::from_ms(std::int64_t{1000});
-  cfg.corpus_dir = dir.string();
-  run_sweep(cfg);
-
-  SweepConfig stale = cfg;
-  stale.seed += 1;
-  EXPECT_THROW(run_sweep(stale), std::runtime_error);
-  stale = cfg;
-  stale.gen.max_k += 1;
-  EXPECT_THROW(run_sweep(stale), std::runtime_error);
-  // Scenario and power are not generation inputs: changing them reuses the
-  // corpus (this is what lets fig6a/b/c share one directory).
-  SweepConfig shared = cfg;
-  shared.scenario = fault::Scenario::kPermanentOnly;
-  EXPECT_NO_THROW(run_sweep(shared));
-  fs::remove_all(dir);
-}
-
 TEST(Sweep, QuarantineIsBitIdenticalAcrossThreadCounts) {
   // Errors live in the same disjoint per-(set, variant) slots as the
   // statistics and are collected in index order, so the quarantine report

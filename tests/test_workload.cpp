@@ -184,13 +184,6 @@ TEST(GenerateBin, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(GenerateBin, RejectsUnknownStreamVersion) {
-  GenParams params;
-  params.stream_version = 1;
-  EXPECT_THROW(generate_bin(params, 0.3, 0.4, 1, 10, 1, 0),
-               std::invalid_argument);
-}
-
 /// What generate_bin must return, rebuilt attempt by attempt from the
 /// public API alone: the attempt's own stream, the target draw,
 /// generate_taskset, the S0 prefilter (sum of all WCETs against the
